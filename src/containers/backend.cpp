@@ -2,8 +2,6 @@
 
 #include "obs/flight.hpp"
 
-// ilu-lint: speculative-zone(flight) - the flight ring is mark()/rewind() bracketed per speculative window, so rolled-back cold-create records are discarded
-
 namespace ilu {
 
 BackendLatencyProfile BackendLatencyProfile::containerd() {
@@ -87,36 +85,6 @@ void SimContainerBackend::destroy_container(VoidCb cb) {
   ++destroys_;
   rt_.schedule(profile_.destroy.sample(rng_),
                [cb = std::move(cb)] { cb(true); });
-}
-
-struct SimContainerBackend::State {
-  Rng rng;
-  std::uint64_t creates = 0;
-  std::uint64_t destroys = 0;
-  std::uint64_t create_failures = 0;
-  std::uint64_t snapshot_restores = 0;
-  std::unordered_set<std::string> snapshotted;
-};
-
-std::shared_ptr<void> SimContainerBackend::save_state() const {
-  auto s = std::make_shared<State>();
-  s->rng = rng_;
-  s->creates = creates_;
-  s->destroys = destroys_;
-  s->create_failures = create_failures_;
-  s->snapshot_restores = snapshot_restores_;
-  s->snapshotted = snapshotted_;
-  return s;
-}
-
-void SimContainerBackend::load_state(const std::shared_ptr<void>& s) {
-  const auto& st = *static_cast<const State*>(s.get());
-  rng_ = st.rng;
-  creates_ = st.creates;
-  destroys_ = st.destroys;
-  create_failures_ = st.create_failures;
-  snapshot_restores_ = st.snapshot_restores;
-  snapshotted_ = st.snapshotted;
 }
 
 }  // namespace ilu

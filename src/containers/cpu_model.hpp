@@ -24,14 +24,6 @@
 namespace ilu {
 
 class CpuModel {
- private:
-  struct RunningTask {
-    double remaining = 0.0;  // core-seconds
-    double weight = 1.0;
-    double rate = 0.0;  // cores currently allocated
-    Runtime::Task on_complete;
-  };
-
  public:
   using TaskId = std::uint64_t;
 
@@ -67,24 +59,14 @@ class CpuModel {
   using DemandObserver = std::function<void(TimePoint, double)>;
   void set_demand_observer(DemandObserver obs) { observer_ = std::move(obs); }
 
-  /// Checkpointable state for speculative (Time Warp) execution: everything
-  /// but the wiring (runtime reference, cores, observer). Completion
-  /// callbacks are cloned Task values; the completion timer id survives a
-  /// SimRuntime heap restore because the heap preserves slot generations.
-  /// Move-only (Task is move-only).
-  struct State {
-    std::map<TaskId, RunningTask> tasks;
-    TaskId next_id = 1;
-    double total_weight = 0.0;
-    TimePoint last_advance{};
-    Runtime::TimerId completion_timer = Runtime::kInvalidTimer;
-    double load_avg = 0.0;
-    TimePoint load_updated{};
-  };
-  State save_state() const;
-  void load_state(const State& s);
-
  private:
+  struct RunningTask {
+    double remaining = 0.0;  // core-seconds
+    double weight = 1.0;
+    double rate = 0.0;  // cores currently allocated
+    Runtime::Task on_complete;
+  };
+
   /// Advance all remaining-work counters to rt_.now().
   void advance();
   /// Water-fill rates and (re)schedule the next completion event.

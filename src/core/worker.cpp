@@ -7,8 +7,6 @@
 #include "obs/flight.hpp"
 #include "util/log.hpp"
 
-// ilu-lint: speculative-zone(flight, metrics) - the flight ring is mark()/rewind() bracketed per speculative window and the worker Snapshot checkpoints/restores its registry values
-
 namespace ilu {
 
 namespace {
@@ -101,105 +99,6 @@ Worker::Worker(Runtime& rt, WorkerConfig cfg)
       });
     });
   }
-  register_snapshotter();
-}
-
-/// One blob per worker: every mutable member touched by event handlers.
-/// Wiring (config, latency models, resolved instrument pointers, policy
-/// identity) is immutable after construction and excluded; the span tracer
-/// is deliberately out of rollback scope (DESIGN.md §16).
-struct Worker::Snapshot {
-  Rng rng;
-  std::vector<FunctionProfile> functions;
-  CharacteristicsMap chars;
-  CpuModel::State cpu;
-  std::shared_ptr<void> ka_policy;
-  ContainerPool::State pool;
-  NetnsPool::State netns;
-  std::shared_ptr<void> backend;
-  InvocationQueue::Snapshot queue;
-  ConcurrencyRegulator regulator{RegulatorConfig{}};
-  std::size_t running = 0;
-  PendingStore::Snapshot pending;
-  std::vector<PendingHandle> waiting_memory;
-  MovingWindow recent_stretch;
-  bool started = false;
-  Runtime::TimerId regulator_timer = Runtime::kInvalidTimer;
-  std::uint64_t completed = 0;
-  std::uint64_t warm = 0;
-  std::uint64_t cold = 0;
-  std::uint64_t bypass = 0;
-  std::uint64_t failure = 0;
-  std::uint64_t prewarm = 0;
-  AsyncToken next_token = 1;
-  std::unordered_map<AsyncToken, InvokeResult> async_results;
-  std::unordered_set<FunctionId> pending_prewarms;
-  MetricsRegistry::Values metrics;
-};
-
-void Worker::register_snapshotter() {
-  rt_.add_snapshotter(Snapshotter{
-      [this]() -> std::shared_ptr<void> {
-        auto s = std::make_shared<Snapshot>();
-        s->rng = rng_;
-        s->functions = functions_;
-        s->chars = chars_;
-        s->cpu = cpu_.save_state();
-        s->ka_policy = ka_policy_->save_state();
-        s->pool = pool_.save_state();
-        s->netns = netns_.save_state();
-        s->backend = backend_->save_state();
-        s->queue = queue_.snapshot();
-        s->regulator = regulator_;
-        s->running = running_;
-        s->pending = pending_.snapshot();
-        s->waiting_memory = waiting_memory_;
-        s->recent_stretch = recent_stretch_;
-        s->started = started_;
-        s->regulator_timer = regulator_timer_;
-        s->completed = completed_;
-        s->warm = warm_count_;
-        s->cold = cold_count_;
-        s->bypass = bypass_count_;
-        s->failure = failure_count_;
-        s->prewarm = prewarm_count_;
-        s->next_token = next_token_;
-        s->async_results = async_results_;
-        s->pending_prewarms = pending_prewarms_;
-        s->metrics = metrics_.save_values();
-        return s;
-      },
-      [this](const std::shared_ptr<void>& blob) {
-        const auto& s = *static_cast<const Snapshot*>(blob.get());
-        rng_ = s.rng;
-        functions_ = s.functions;
-        chars_ = s.chars;
-        cpu_.load_state(s.cpu);
-        ka_policy_->load_state(s.ka_policy);
-        pool_.load_state(s.pool);
-        netns_.load_state(s.netns);
-        backend_->load_state(s.backend);
-        queue_.restore(s.queue);
-        regulator_ = s.regulator;
-        running_ = s.running;
-        pending_.restore(s.pending);
-        waiting_memory_ = s.waiting_memory;
-        recent_stretch_ = s.recent_stretch;
-        started_ = s.started;
-        regulator_timer_ = s.regulator_timer;
-        completed_ = s.completed;
-        warm_count_ = s.warm;
-        cold_count_ = s.cold;
-        bypass_count_ = s.bypass;
-        failure_count_ = s.failure;
-        prewarm_count_ = s.prewarm;
-        next_token_ = s.next_token;
-        async_results_ = s.async_results;
-        pending_prewarms_ = s.pending_prewarms;
-        // Last, so the instrument values of record overwrite whatever the
-        // component restores mirrored into the gauges along the way.
-        metrics_.restore_values(s.metrics);
-      }});
 }
 
 Worker::~Worker() { shutdown(); }

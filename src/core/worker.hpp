@@ -168,15 +168,6 @@ class Worker {
     TransactionId tx = 0;
     SpanId root = kNoSpan;
   };
-  /// Full control-plane checkpoint for speculative (Time Warp) execution:
-  /// every per-event mutable member of the worker and its components, minus
-  /// wiring (config, latency models, instrument pointers) and the span
-  /// tracer (observability-only; spans recorded during a rolled-back window
-  /// are a documented skew, DESIGN.md §16). Registered with the runtime in
-  /// the constructor; a no-op on runtimes without snapshot support.
-  struct Snapshot;
-  void register_snapshotter();
-
   /// Generation-checked reference to an in-flight invocation in the pending
   /// slab (DESIGN.md §11); continuations capture this 8-byte value instead
   /// of a shared_ptr, so the steady-state invoke path never touches the

@@ -78,13 +78,6 @@ class KeepAlivePolicy {
     (void)now;
     return std::nullopt;
   }
-
-  /// Checkpoint hooks for speculative (Time Warp) execution: capture /
-  /// reinstate mutable state the policy keeps *outside* the cache entries
-  /// (per-entry scratch lives in the container records, which the pool
-  /// checkpoints itself). Stateless policies keep the defaults.
-  virtual std::shared_ptr<void> save_state() const { return nullptr; }
-  virtual void load_state(const std::shared_ptr<void>& s) { (void)s; }
 };
 
 /// OpenWhisk's default: keep each container for a fixed TTL after last use
@@ -143,13 +136,6 @@ class GreedyDualPolicy final : public KeepAlivePolicy {
   }
   double aging_factor() const { return l_; }
 
-  std::shared_ptr<void> save_state() const override {
-    return std::make_shared<double>(l_);
-  }
-  void load_state(const std::shared_ptr<void>& s) override {
-    l_ = *static_cast<const double*>(s.get());
-  }
-
  private:
   static double cost_over_size(const CacheEntry& e) {
     return to_ms(e.init_time) / std::max(1.0, static_cast<double>(e.mem_mb));
@@ -171,13 +157,6 @@ class LandlordPolicy final : public KeepAlivePolicy {
   }
   void on_evict(const CacheEntry& e) override {
     if (e.priority > l_) l_ = e.priority;
-  }
-
-  std::shared_ptr<void> save_state() const override {
-    return std::make_shared<double>(l_);
-  }
-  void load_state(const std::shared_ptr<void>& s) override {
-    l_ = *static_cast<const double*>(s.get());
   }
 
  private:
@@ -222,13 +201,6 @@ class HistPolicy final : public KeepAlivePolicy {
   /// Test/introspection hooks.
   bool predictable(FunctionId fn) const;
   double cov(FunctionId fn) const;
-
-  std::shared_ptr<void> save_state() const override {
-    return std::make_shared<decltype(hists_)>(hists_);
-  }
-  void load_state(const std::shared_ptr<void>& s) override {
-    hists_ = *static_cast<const decltype(hists_)*>(s.get());
-  }
 
  private:
   struct FnHist {

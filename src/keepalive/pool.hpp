@@ -157,30 +157,6 @@ class ContainerPool {
   };
   using RankHeap = IndexedHeap<RankKey, ContainerHandle>;
 
- public:
-  /// Checkpointable state for speculative (Time Warp) execution: the whole
-  /// container store (slab copy, so every ContainerHandle issued before the
-  /// checkpoint stays valid after restore), both idle indexes, memory
-  /// accounting, and counters. The sweep timer id survives a SimRuntime
-  /// heap restore because the heap preserves slot generations.
-  struct State {
-    std::size_t prewarmed_idle = 0;
-    std::uint64_t capacity_mb = 0;
-    std::uint64_t used_mb = 0;
-    ContainerId next_id = 1;
-    ContainerStore::Snapshot store;
-    std::vector<ContainerHandle> idle_head;
-    RankHeap rank;
-    bool running = false;
-    Runtime::TimerId sweep_timer = Runtime::kInvalidTimer;
-    std::uint64_t evictions = 0;
-    std::uint64_t expirations = 0;
-  };
-  State save_state() const;
-  void load_state(const State& s);
-
- private:
-
   void insert_idle(ContainerHandle h, Container& c);
   void remove_idle(ContainerHandle h, Container& c);
   void sync_metrics();

@@ -5,8 +5,6 @@
 
 #include "obs/flight.hpp"
 
-// ilu-lint: speculative-zone(flight, metrics) - the flight ring is mark()/rewind() bracketed per speculative window and register_snapshotters() checkpoints/restores the LB registry values
-
 namespace ilu {
 
 Cluster::Cluster(Runtime& rt, ClusterConfig cfg)
@@ -53,68 +51,6 @@ void Cluster::build_workers() {
     dispatch_counters_.push_back(metrics_.counter("lb.dispatch." + wc.name));
   }
   forwarded_counter_ = metrics_.counter("lb.forwarded");
-  register_snapshotters();
-}
-
-void Cluster::register_snapshotters() {
-  // The balancer's routing state lives on the LB's loop (shard 0 when
-  // sharded). fn_keys_ and the worker roster are wiring-time and excluded.
-  struct LbState {
-    Rng rng;
-    std::size_t rr_next = 0;
-    std::vector<std::uint64_t> routed;
-    std::uint64_t forwarded = 0;
-    std::vector<double> lb_view;
-    std::uint64_t lb_seq = 0;
-    MetricsRegistry::Values metrics;
-  };
-  rt_.add_snapshotter(Snapshotter{
-      [this]() -> std::shared_ptr<void> {
-        auto s = std::make_shared<LbState>();
-        s->rng = rng_;
-        s->rr_next = rr_next_;
-        s->routed = routed_;
-        s->forwarded = forwarded_;
-        s->lb_view = lb_view_;
-        s->lb_seq = lb_seq_;
-        s->metrics = metrics_.save_values();
-        return s;
-      },
-      [this](const std::shared_ptr<void>& blob) {
-        const auto& s = *static_cast<const LbState*>(blob.get());
-        rng_ = s.rng;
-        rr_next_ = s.rr_next;
-        routed_ = s.routed;
-        forwarded_ = s.forwarded;
-        lb_view_ = s.lb_view;
-        lb_seq_ = s.lb_seq;
-        metrics_.restore_values(s.metrics);
-      }});
-  // worker_seq_[w] is only ever written on worker w's loop, so each shard
-  // checkpoints exactly its own partition of the array.
-  const std::size_t num_shards = srt_ ? srt_->shards() : 1;
-  for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    std::vector<std::size_t> mine;
-    for (std::size_t w = 0; w < worker_shard_.size(); ++w) {
-      if (worker_shard_[w] == shard) mine.push_back(w);
-    }
-    if (mine.empty()) continue;
-    Runtime& srt = srt_ ? static_cast<Runtime&>(srt_->shard(shard)) : rt_;
-    srt.add_snapshotter(Snapshotter{
-        [this, mine]() -> std::shared_ptr<void> {
-          auto s = std::make_shared<std::vector<std::uint64_t>>();
-          s->reserve(mine.size());
-          for (std::size_t w : mine) s->push_back(worker_seq_[w]);
-          return s;
-        },
-        [this, mine](const std::shared_ptr<void>& blob) {
-          const auto& seqs =
-              *static_cast<const std::vector<std::uint64_t>*>(blob.get());
-          for (std::size_t i = 0; i < mine.size(); ++i) {
-            worker_seq_[mine[i]] = seqs[i];
-          }
-        }});
-  }
 }
 
 void Cluster::start() {

@@ -32,15 +32,10 @@
 ///    floor (cfg.rpc.lower_bound(), strictly positive) is the conservative
 ///    lookahead. With a fixed seed the sharded run is event-for-event
 ///    identical to the single-shard run at any shard count, under either
-///    placement and either sync strategy: both RPC hop samples are drawn on
-///    the LB at route time (so the balancer RNG's draw order never depends
-///    on worker interleaving), and messages are keyed by (deliver time,
-///    sender id, per-sender sequence) — shard-count independent by
-///    construction. When the sharded runtime can speculate
-///    (SyncStrategy::kOptimistic / kAuto), every worker registers a state
-///    Snapshotter on its shard and the cluster registers its own LB-state
-///    snapshotters, so a rollback rewinds the whole control plane, not just
-///    the event heaps.
+///    placement: both RPC hop samples are drawn on the LB at route time (so
+///    the balancer RNG's draw order never depends on worker interleaving),
+///    and messages are keyed by (deliver time, sender id, per-sender
+///    sequence) — shard-count independent by construction.
 namespace ilu {
 
 enum class LbPolicy { ChBl, RoundRobin, LeastLoaded };
@@ -107,11 +102,6 @@ class Cluster {
 
  private:
   void build_workers();
-  /// Register the LB's own mutable state (and the per-shard worker_seq_
-  /// partitions) with the runtimes that host it, so speculative shard
-  /// execution can roll the balancer back along with the workers. A no-op
-  /// on runtimes without snapshot support.
-  void register_snapshotters();
   std::size_t route(FunctionId fn);
   /// Message tags: (per-sender sequence, sender) lexicographic, encoded so
   /// numeric order == lexicographic order over the fixed sender universe

@@ -135,39 +135,65 @@ std::vector<Event> Ring::snapshot() const {
 Recorder::Recorder(bool enabled, std::size_t ring_capacity)
     : ring_capacity_(ring_capacity),
       uid_(g_recorder_uid.fetch_add(1, std::memory_order_relaxed)),
-      enabled_(enabled) {}
+      enabled_(enabled),
+      set_(std::make_shared<RingSet>()) {}
 
 Recorder& Recorder::instance() {
   static Recorder r;  // ilu-lint: allow(raw-thread) - process singleton, obs/ is thread-exempt anyway
   return r;
 }
 
+struct Recorder::ThreadRings {
+  struct Entry {
+    Ring* ring;
+    std::weak_ptr<RingSet> set;
+  };
+  std::unordered_map<std::uint64_t, Entry> by_uid;
+
+  ~ThreadRings() {
+    for (auto& [uid, e] : by_uid) {
+      if (std::shared_ptr<RingSet> set = e.set.lock()) {
+        std::lock_guard<std::mutex> lk(set->mu);
+        set->idle.push_back(e.ring);
+      }
+    }
+  }
+};
+
 Ring& Recorder::local_ring() {
   // Same idiom as TransactionTracer::local_shard(): a uid-keyed
   // thread_local cache so each (thread, recorder) pair resolves its ring
   // with one hash probe after the first record, and rings owned by
   // destroyed recorders are never mistaken for ours.
-  thread_local std::unordered_map<std::uint64_t, Ring*> t_rings;
-  auto it = t_rings.find(uid_);
-  if (it != t_rings.end()) return *it->second;
-  std::lock_guard<std::mutex> lk(rings_mu_);
-  auto tid = static_cast<std::uint16_t>(rings_.size());
-  rings_.push_back(std::make_unique<Ring>(ring_capacity_, tid));
-  Ring* r = rings_.back().get();
-  t_rings.emplace(uid_, r);
+  thread_local ThreadRings t_rings;
+  auto it = t_rings.by_uid.find(uid_);
+  if (it != t_rings.by_uid.end()) return *it->second.ring;
+  Ring* r = nullptr;
+  {
+    std::lock_guard<std::mutex> lk(set_->mu);
+    if (!set_->idle.empty()) {
+      r = set_->idle.back();
+      set_->idle.pop_back();
+    } else {
+      auto tid = static_cast<std::uint16_t>(set_->rings.size());
+      set_->rings.push_back(std::make_unique<Ring>(ring_capacity_, tid));
+      r = set_->rings.back().get();
+    }
+  }
+  t_rings.by_uid.emplace(uid_, ThreadRings::Entry{r, set_});
   return *r;
 }
 
 std::size_t Recorder::ring_count() const {
-  std::lock_guard<std::mutex> lk(rings_mu_);
-  return rings_.size();
+  std::lock_guard<std::mutex> lk(set_->mu);
+  return set_->rings.size();
 }
 
 std::vector<RingDump> Recorder::snapshot_all() const {
-  std::lock_guard<std::mutex> lk(rings_mu_);
+  std::lock_guard<std::mutex> lk(set_->mu);
   std::vector<RingDump> out;
-  out.reserve(rings_.size());
-  for (const auto& r : rings_) {
+  out.reserve(set_->rings.size());
+  for (const auto& r : set_->rings) {
     RingDump d;
     d.tid = r->tid();
     d.recorded = r->recorded();
@@ -178,9 +204,9 @@ std::vector<RingDump> Recorder::snapshot_all() const {
 }
 
 std::uint64_t Recorder::recorded() const {
-  std::lock_guard<std::mutex> lk(rings_mu_);
+  std::lock_guard<std::mutex> lk(set_->mu);
   std::uint64_t total = 0;
-  for (const auto& r : rings_) total += r->recorded();
+  for (const auto& r : set_->rings) total += r->recorded();
   return total;
 }
 
@@ -222,8 +248,8 @@ const std::string& Recorder::crash_dump_path() {
 }
 
 void Recorder::clear() {
-  std::lock_guard<std::mutex> lk(rings_mu_);
-  for (auto& r : rings_) r->clear();
+  std::lock_guard<std::mutex> lk(set_->mu);
+  for (auto& r : set_->rings) r->clear();
 }
 
 std::vector<RingDump> decode(const std::string& bytes) {

@@ -109,18 +109,6 @@ class Ring {
   /// Reader-side reset (tests): drops all records, keeps the ring.
   void clear() { head_.store(0, std::memory_order_release); }
 
-  /// Writer-thread only: current head sequence, usable with rewind() to
-  /// discard records stamped after this point.
-  std::uint64_t mark() const { return head_.load(std::memory_order_relaxed); }
-
-  /// Writer-thread only: roll the ring back to a mark() taken earlier on
-  /// this thread, erasing every record stamped in between — the optimistic
-  /// sharded engine's telemetry rollback (DESIGN.md §16). Best-effort once
-  /// the ring has lapped past the mark (> capacity records in between): the
-  /// head still rewinds, and the resurrected older slots are the lapped
-  /// survivors — same fidelity loss overwrite-oldest already implies.
-  void rewind(std::uint64_t m) { head_.store(m, std::memory_order_release); }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> w0{0};
@@ -139,8 +127,12 @@ struct RingDump {
   std::vector<Event> events;   ///< Last min(recorded, capacity), oldest first.
 };
 
-/// Process-wide recorder: owns one ring per recording thread. Threads get
-/// their ring lazily on first record (registration is the only locked path).
+/// Process-wide recorder: owns one ring per live recording thread. Threads
+/// get their ring lazily on first record (registration is the only locked
+/// path). A ring belongs to its thread until that thread exits; it then
+/// returns to the recorder and the next new thread reuses it, tid and
+/// earlier records included — so ring memory is bounded by the peak number
+/// of concurrently recording threads, however many threads come and go.
 /// A distinct instance can be constructed for tests; production call sites
 /// go through the `instance()` singleton via the free `record()` below.
 class Recorder {
@@ -161,7 +153,7 @@ class Recorder {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// The calling thread's ring (registering it on first use).
+  /// The calling thread's ring (registering or reusing one on first use).
   Ring& local_ring();
 
   /// Stamp one record on the calling thread's ring. The enabled check is a
@@ -171,6 +163,8 @@ class Recorder {
     local_ring().record(ts_us, code, arg);
   }
 
+  /// Rings ever created: the peak number of concurrently recording
+  /// threads, not the number of threads that ever recorded.
   std::size_t ring_count() const;
   /// Snapshot every ring (concurrent-safe; see Ring::snapshot).
   std::vector<RingDump> snapshot_all() const;
@@ -193,11 +187,23 @@ class Recorder {
   void clear();
 
  private:
+  /// Ring storage, shared with each recording thread's ring cache: a thread
+  /// that exits after its recorder was destroyed finds the set expired and
+  /// leaves it alone.
+  struct RingSet {
+    std::mutex mu;
+    std::vector<std::unique_ptr<Ring>> rings;
+    /// Rings of exited threads, handed to the next new thread (LIFO).
+    std::vector<Ring*> idle;
+  };
+  /// The per-thread ring cache (flight.cpp); returns its rings on thread
+  /// exit.
+  struct ThreadRings;
+
   const std::size_t ring_capacity_;
   const std::uint64_t uid_;  // keys the thread-local ring cache
   std::atomic<bool> enabled_;
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
+  const std::shared_ptr<RingSet> set_;
 };
 
 /// Hot-path entry point: stamp on the process-wide recorder.
@@ -207,20 +213,6 @@ inline void record(std::uint64_t ts_us, Ev code, std::uint32_t arg) {
 /// Convenience overload taking the runtime TimePoint directly.
 inline void record(TimePoint ts, Ev code, std::uint32_t arg) {
   record(static_cast<std::uint64_t>(ts.count()), code, arg);
-}
-
-/// Mark the calling thread's ring position for a later rewind(). Returns 0
-/// when recording is disabled (rewind(0) with recording still disabled is a
-/// no-op, so the pair composes either way).
-inline std::uint64_t mark() {
-  Recorder& r = Recorder::instance();
-  return r.enabled() ? r.local_ring().mark() : 0;
-}
-/// Erase every record the calling thread stamped since `m = mark()` —
-/// speculative-window rollback support. Calling-thread-only, like record().
-inline void rewind(std::uint64_t m) {
-  Recorder& r = Recorder::instance();
-  if (r.enabled()) r.local_ring().rewind(m);
 }
 
 // --------------------------------------------------------------------------

@@ -184,56 +184,6 @@ void LogHistogram::reset() {
                    std::memory_order_relaxed);
 }
 
-Histogram::State Histogram::save_state() const {
-  State s;
-  s.buckets.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    s.buckets.push_back(b.load(std::memory_order_relaxed));
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum_micro = sum_micro_.load(std::memory_order_relaxed);
-  s.overflow_count = overflow_count_.load(std::memory_order_relaxed);
-  s.overflow_max_micro = overflow_max_micro_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void Histogram::load_state(const State& s) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].store(i < s.buckets.size() ? s.buckets[i] : 0,
-                      std::memory_order_relaxed);
-  }
-  count_.store(s.count, std::memory_order_relaxed);
-  sum_micro_.store(s.sum_micro, std::memory_order_relaxed);
-  overflow_count_.store(s.overflow_count, std::memory_order_relaxed);
-  overflow_max_micro_.store(s.overflow_max_micro, std::memory_order_relaxed);
-}
-
-LogHistogram::State LogHistogram::save_state() const {
-  State s;
-  s.buckets.reserve(buckets_.size());
-  for (const auto& b : buckets_) {
-    s.buckets.push_back(b.load(std::memory_order_relaxed));
-  }
-  s.count = count_.load(std::memory_order_relaxed);
-  s.sum_micro = sum_micro_.load(std::memory_order_relaxed);
-  s.overflow_count = overflow_count_.load(std::memory_order_relaxed);
-  s.min_micro = min_micro_.load(std::memory_order_relaxed);
-  s.max_micro = max_micro_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void LogHistogram::load_state(const State& s) {
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i].store(i < s.buckets.size() ? s.buckets[i] : 0,
-                      std::memory_order_relaxed);
-  }
-  count_.store(s.count, std::memory_order_relaxed);
-  sum_micro_.store(s.sum_micro, std::memory_order_relaxed);
-  overflow_count_.store(s.overflow_count, std::memory_order_relaxed);
-  min_micro_.store(s.min_micro, std::memory_order_relaxed);
-  max_micro_.store(s.max_micro, std::memory_order_relaxed);
-}
-
 Counter* MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
   auto& slot = counters_[name];
@@ -264,40 +214,6 @@ LogHistogram* MetricsRegistry::log_histogram(const std::string& name,
   auto& slot = log_histograms_[name];
   if (!slot) slot = std::make_unique<LogHistogram>(min_value, max_value);
   return slot.get();
-}
-
-MetricsRegistry::Values MetricsRegistry::save_values() const {
-  Values v;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, c] : counters_) v.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) v.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) {
-    v.histograms[name] = h->save_state();
-  }
-  for (const auto& [name, h] : log_histograms_) {
-    v.log_histograms[name] = h->save_state();
-  }
-  return v;
-}
-
-void MetricsRegistry::restore_values(const Values& v) {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, val] : v.counters) {
-    auto it = counters_.find(name);
-    if (it != counters_.end()) it->second->reset_to(val);
-  }
-  for (const auto& [name, val] : v.gauges) {
-    auto it = gauges_.find(name);
-    if (it != gauges_.end()) it->second->set(val);
-  }
-  for (const auto& [name, s] : v.histograms) {
-    auto it = histograms_.find(name);
-    if (it != histograms_.end()) it->second->load_state(s);
-  }
-  for (const auto& [name, s] : v.log_histograms) {
-    auto it = log_histograms_.find(name);
-    if (it != log_histograms_.end()) it->second->load_state(s);
-  }
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {

@@ -35,9 +35,6 @@ class Counter {
  public:
   void inc(std::uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  /// Rollback restore only (MetricsRegistry::restore_values): rewinding a
-  /// speculative window is the one sanctioned way a counter moves backwards.
-  void reset_to(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -92,19 +89,6 @@ class Histogram {
   bool saturated() const { return overflow_count() > 0; }
   /// Largest overflowing observation (0 when none).
   double overflow_max() const;
-
-  /// Full mutable state, for speculative-window save/restore
-  /// (MetricsRegistry::save_values). Geometry (width, bucket count) is not
-  /// part of the state — it is immutable after construction.
-  struct State {
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    std::int64_t sum_micro = 0;
-    std::uint64_t overflow_count = 0;
-    std::int64_t overflow_max_micro = 0;
-  };
-  State save_state() const;
-  void load_state(const State& s);
 
  private:
   double width_;
@@ -205,19 +189,6 @@ class LogHistogram {
   /// between sweep stages, after each stage has drained).
   void reset();
 
-  /// Full mutable state, for speculative-window save/restore
-  /// (MetricsRegistry::save_values). Geometry is immutable and excluded.
-  struct State {
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    std::int64_t sum_micro = 0;
-    std::uint64_t overflow_count = 0;
-    std::int64_t min_micro = 0;
-    std::int64_t max_micro = 0;
-  };
-  State save_state() const;
-  void load_state(const State& s);
-
  private:
   /// Pure bucket index for x in [0, max_value). Underflow and NaN clamp to
   /// bucket 0.
@@ -297,22 +268,6 @@ class MetricsRegistry {
                               double max_value = LogHistogram::kDefaultMax);
 
   MetricsSnapshot snapshot() const;
-
-  /// All mutable instrument state, keyed by name — the registry's
-  /// speculative-window checkpoint payload (DESIGN.md §16). Unlike
-  /// MetricsSnapshot (a digest for exporters), Values round-trips exactly.
-  struct Values {
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, std::int64_t> gauges;
-    std::map<std::string, Histogram::State> histograms;
-    std::map<std::string, LogHistogram::State> log_histograms;
-  };
-  Values save_values() const;
-  /// Restore every instrument named in `v` to its saved state. Instruments
-  /// created after the save keep their current values — registration is a
-  /// wiring-time act, so a speculative window never creates instruments,
-  /// and any it might observe into are rewound by name here.
-  void restore_values(const Values& v);
 
  private:
   mutable std::mutex mu_;

@@ -10,8 +10,6 @@
 #include "runtime/indexed_heap.hpp"
 #include "runtime/runtime.hpp"
 
-// ilu-lint: speculative-zone(flight, metrics) - the flight ring is mark()/rewind() bracketed per speculative window and restore() re-syncs the depth gauge from the checkpointed heap
-
 /// The per-worker invocation queue (§5): a priority queue sorted by the
 /// active discipline, with FIFO tie-breaking (sequence numbers) so equal
 /// priorities preserve arrival order.
@@ -23,9 +21,6 @@
 namespace ilu {
 
 class InvocationQueue {
- private:
-  using Key = std::pair<double, std::uint64_t>;
-
  public:
   InvocationQueue(const QueuePolicy& policy, const CharacteristicsMap& chars)
       : policy_(policy), chars_(chars) {}
@@ -82,37 +77,8 @@ class InvocationQueue {
   /// stamping entirely — e.g. microbenchmarks of the bare queue).
   void set_flight_clock(const Runtime* rt) { clock_ = rt; }
 
-  /// Checkpointable state for speculative (Time Warp) execution: the heap
-  /// is cloned item by item (QueueItem carries a move-only Task, cloned via
-  /// Task::clone) so computed priorities, sequence numbers, and heap layout
-  /// — and therefore dispatch order — survive a restore exactly.
-  struct Snapshot {
-    std::uint64_t next_seq = 0;
-    IndexedHeap<Key, QueueItem> items;
-  };
-  Snapshot snapshot() const {
-    Snapshot s;
-    s.next_seq = next_seq_;
-    s.items = items_.clone_with(&clone_item);
-    return s;
-  }
-  void restore(const Snapshot& s) {
-    next_seq_ = s.next_seq;
-    items_ = s.items.clone_with(&clone_item);
-    if (depth_gauge_) {
-      depth_gauge_->set(static_cast<std::int64_t>(items_.size()));
-    }
-  }
-
  private:
-  static QueueItem clone_item(const QueueItem& item) {
-    QueueItem out;
-    out.fn = item.fn;
-    out.arrival = item.arrival;
-    out.seq = item.seq;
-    out.dispatch = item.dispatch.clone();
-    return out;
-  }
+  using Key = std::pair<double, std::uint64_t>;
 
   const QueuePolicy& policy_;
   const CharacteristicsMap& chars_;

@@ -103,32 +103,6 @@ class IndexedHeap {
     return true;
   }
 
-  /// Deep copy with a caller-supplied value cloner (`Value(const Value&)`
-  /// substitute for move-only payloads such as ilu::Task). The structural
-  /// state — key array, positions, slot generations, and the free list — is
-  /// reproduced exactly, so Handles issued by the original remain valid
-  /// against the clone. SimRuntime's checkpoint/restore relies on that:
-  /// TimerIds held by live components keep cancelling the right events after
-  /// a rollback swaps the heap out for a checkpointed copy. Only slots
-  /// currently queued have their value cloned; free slots get a
-  /// default-constructed payload (their old payloads were already released).
-  template <typename Cloner>
-  IndexedHeap clone_with(Cloner&& cloner) const {
-    IndexedHeap out(cmp_);
-    out.heap_ = heap_;
-    out.pos_ = pos_;
-    out.free_head_ = free_head_;
-    out.slots_.resize(slots_.size());
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      out.slots_[i].gen = slots_[i].gen;
-      out.slots_[i].next_free = slots_[i].next_free;
-    }
-    for (const HeapItem& item : heap_) {
-      out.slots_[item.slot].value = cloner(slots_[item.slot].value);
-    }
-    return out;
-  }
-
  private:
   struct HeapItem {
     Key key;

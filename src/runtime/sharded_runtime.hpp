@@ -1,85 +1,50 @@
 #pragma once
-// ilu-lint: atomics-floor(relaxed) - events_/horizon_/straggler_min_/mode_ are published between barriers (the barrier supplies the ordering); events_ doubles as a monotone telemetry counter
+// ilu-lint: atomics-floor(relaxed) - events_/horizon_ are published between barriers (the barrier supplies the ordering); events_ doubles as a monotone telemetry counter
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "runtime/shard_sync.hpp"
 #include "runtime/sim_runtime.hpp"
-#include "runtime/sync_strategy.hpp"
 
 /// Time-parallel discrete-event simulation: N SimRuntime shards, each owned
-/// by one thread, synchronized by a pluggable SyncStrategy (DESIGN.md
-/// §9/§16).
+/// by one thread, synchronized by conservative bounded-lag windows
+/// (Chandy–Misra; DESIGN.md §9).
 ///
 /// Every cross-shard interaction must go through send(), which models a
-/// link whose latency is at least `lookahead` (> 0). Each synchronization
-/// round starts the same way under either strategy: every shard drains its
-/// inbox (messages sorted by (deliver time, tag)) into its event heap,
-/// publishes its next-event horizon, and crosses a barrier; all shards then
-/// agree on T_min, the globally earliest pending deadline (the GVT — no
-/// event can ever again be created before it).
-///
-/// **Conservative** (Chandy–Misra bounded lag): the lookahead bound makes a
-/// window safe outright — no event executed anywhere can cause a new event
-/// before T_min + lookahead, so every shard runs run_before(T_min +
-/// lookahead) and can never receive a message "from the past".
-///
-/// **Optimistic** (Time Warp, barrier-synchronized): each shard checkpoints
-/// (SimRuntime::checkpoint — event heap plus registered component
-/// snapshotters), then speculates to T_min + speculation × lookahead. At
-/// the closing barrier shards scan their inboxes for stragglers — messages
-/// addressed into a shard's already-executed past. If any exists anywhere,
-/// every shard cancels the messages it sent this round (its anti-messages:
-/// none were delivered yet, so cancellation is a row clear), restores its
-/// checkpoint, rewinds its flight-recorder ring to the round's mark, and
-/// re-runs to the straggler-free bound min(T_min + lookahead, earliest
-/// straggler time); otherwise the round commits several windows' worth of
-/// progress for one barrier round. Speculative sends must be in the
-/// sender's *strict* future (not a full lookahead out), which both keeps
-/// re-runs progressing (the earliest straggler is strictly after T_min) and
-/// is exactly the relaxation that lets optimism outrun the lookahead floor.
-///
-/// **Auto** starts conservative and switches per the SyncConfig controller
-/// (see sync_strategy.hpp). The controller reads only deterministic
-/// simulation state, so the strategy schedule — like the strategy itself —
-/// never changes simulation results.
+/// link whose latency is at least `lookahead` (> 0). Each window starts the
+/// same way: every shard drains its inbox (messages sorted by (deliver
+/// time, tag)) into its event heap, publishes its next-event horizon, and
+/// crosses a barrier; all shards then agree on T_min, the globally earliest
+/// pending deadline. The lookahead bound makes the window safe outright: no
+/// event executed anywhere can cause a new event before T_min + lookahead,
+/// so every shard runs run_before(T_min + lookahead) and can never receive
+/// a message "from the past".
 ///
 /// Determinism: the delivery order of cross-shard messages is a pure
 /// function of (deliver time, tag), where callers derive the tag from a
 /// logical sender id and a per-sender sequence number — NOT from shard ids
 /// or wall-clock interleaving. Tagged events also order *before* any
 /// plain-scheduled local event at the same deadline (see
-/// SimRuntime::schedule_tagged). Strategies only re-partition execution
-/// into differently-sized safe prefixes of the same event order, so a run's
-/// observable behaviour is identical at any shard count under any strategy,
-/// including 1 shard: run_until() then forwards straight to the underlying
-/// SimRuntime (no threads, no barriers, no outboxes) and send() degenerates
-/// to a schedule_tagged call with the very same (deliver time, tag) key.
+/// SimRuntime::schedule_tagged). Windows only partition execution into safe
+/// prefixes of that one event order, so a run's observable behaviour is
+/// identical at any shard count, including 1 shard: run_until() then
+/// forwards straight to the underlying SimRuntime (no threads, no barriers,
+/// no outboxes) and send() degenerates to a schedule_tagged call with the
+/// very same (deliver time, tag) key.
 namespace ilu {
 
 class ShardedRuntime {
  public:
   /// `lookahead` must be strictly positive: it is the minimum cross-shard
-  /// message latency callers promise to respect in send() (conservative
-  /// mode enforces the full lookahead; optimistic mode relaxes it to the
-  /// sender's strict future and repairs violations of the *destination's*
-  /// past by rollback).
-  ShardedRuntime(std::size_t shards, Duration lookahead, SyncConfig cfg = {});
+  /// message latency callers promise to respect in send().
+  ShardedRuntime(std::size_t shards, Duration lookahead);
 
   std::size_t shards() const { return shards_.size(); }
   Duration lookahead() const { return lookahead_; }
   SimRuntime& shard(std::size_t i) { return *shards_[i]; }
   const SimRuntime& shard(std::size_t i) const { return *shards_[i]; }
-
-  /// The configured strategy (kAuto reports kAuto; see mode() for what the
-  /// controller currently runs).
-  SyncStrategy strategy() const { return cfg_.strategy; }
-  /// The strategy the engine is executing right now (== strategy() unless
-  /// kAuto). Driver-thread reads between runs are exact.
-  SyncStrategy mode() const { return mode_.load(std::memory_order_relaxed); }
 
   /// Virtual time of shard 0 (all shards agree after run_until returns).
   TimePoint now() const { return shards_[0]->now(); }
@@ -87,11 +52,8 @@ class ShardedRuntime {
   /// Deliver `fn` on shard `dst` at absolute time `at`. Must be called
   /// either from the owning thread of shard `src` during a window, or from
   /// outside run_until/run entirely. Requires tag < SimRuntime::kTagBand
-  /// and, in conservative mode, at >= src's now + lookahead (the link
-  /// latency promise — violations abort under ILU_DEBUG_CHECKS). In
-  /// optimistic mode the requirement weakens to at > src's now: a message
-  /// landing in the *destination's* executed past is a straggler and
-  /// triggers rollback instead of an abort.
+  /// and at >= src's now + lookahead (the link latency promise — violations
+  /// abort under ILU_DEBUG_CHECKS).
   void send(std::size_t src, std::size_t dst, TimePoint at, std::uint64_t tag,
             Task fn);
 
@@ -109,28 +71,13 @@ class ShardedRuntime {
   bool idle() const;
 
   /// Synchronization windows executed so far (0 on the single-shard path).
-  /// A rolled-back round still counts once: its re-run is the round's
-  /// committed window.
   std::uint64_t windows() const { return windows_; }
   /// Cross-shard messages delivered through mailboxes so far.
   std::uint64_t messages() const;
 
-  /// Optimistic-engine telemetry (all 0 under conservative / single shard).
-  /// Rounds that speculated past the conservative bound and committed:
-  std::uint64_t speculative_windows() const { return speculative_windows_; }
-  /// Rounds undone by a straggler (each also re-ran and committed):
-  std::uint64_t rollbacks() const { return rollbacks_; }
-  /// Cross-shard messages cancelled by rollbacks before delivery:
-  std::uint64_t anti_messages() const;
-  /// Speculatively executed events discarded by rollbacks (re-executed
-  /// events are not wasted — this counts only the undone suffix):
-  std::uint64_t wasted_events() const;
-
   /// Events processed by shard `i`, as last published at a window barrier
-  /// (refreshed at every committed round while a run is in flight, exact
-  /// once it returns — speculative progress is published only on commit, so
-  /// concurrent readers never observe counts that a rollback would retract).
-  /// Readable from any thread — this is the telemetry sampler's
+  /// (refreshed every window while a run is in flight, exact once it
+  /// returns). Readable from any thread — this is the telemetry sampler's
   /// events/s-per-shard source; reading it never perturbs the simulation.
   std::uint64_t shard_events(std::size_t i) const {
     return events_[i].load(std::memory_order_relaxed);
@@ -144,35 +91,16 @@ class ShardedRuntime {
     Task fn;
   };
 
-  /// The window loop body shared by run_until (bounded) and run
-  /// (unbounded). `limit` is the inclusive time bound; TimePoint::max()
-  /// means run to quiescence.
+  /// The window loop shared by run_until (bounded) and run (unbounded).
+  /// `limit` is the inclusive time bound; TimePoint::max() means run to
+  /// quiescence.
   void run_windows(TimePoint limit);
   void merge_inbox(std::size_t dst);
 
-  /// One committed round for shard `me` under the respective engine, from
-  /// agreed T_min to the trailing barrier. Defined in sync_conservative.cpp
-  /// and sync_optimistic.cpp so each engine reads as one unit.
-  void round_conservative(std::size_t me, std::int64_t tmin,
-                          std::int64_t cap_us, shard_sync::SpinBarrier& barrier);
-  void round_optimistic(std::size_t me, std::int64_t tmin, std::int64_t cap_us,
-                        shard_sync::SpinBarrier& barrier);
-  /// Tail shared by both engines (and by the optimistic engine's rollback
-  /// re-run): publish committed progress, stamp the flight ring, count the
-  /// window, cross the trailing barrier.
-  void commit_round(std::size_t me, shard_sync::SpinBarrier& barrier);
-
-  /// kAuto controller, run by shard 0's thread between rounds (before the
-  /// horizon barrier, so the mode every shard reads after it is uniform).
-  /// Decides from deterministic simulation state only.
-  void update_mode();
-
   Duration lookahead_;
-  SyncConfig cfg_;
   std::vector<std::unique_ptr<SimRuntime>> shards_;
   /// outbox_[src * S + dst]: written only by src's thread during a window,
-  /// drained only by dst's thread at the barrier (and scanned read-only by
-  /// dst between the optimistic engine's two closing barriers).
+  /// drained only by dst's thread at the barrier.
   std::vector<std::vector<Msg>> outbox_;
   /// Per-shard merge scratch (sorting buffer), owned by the dst thread.
   std::vector<std::vector<Msg>> scratch_;
@@ -180,28 +108,12 @@ class ShardedRuntime {
   /// Plain values would race; the window barriers order the accesses, and
   /// atomics make the publication explicit for the sanitizer.
   std::vector<std::atomic<std::int64_t>> horizon_;
-  /// Per-shard processed-event counters, published (relaxed) at committed
-  /// rounds for concurrent telemetry readers.
+  /// Per-shard processed-event counters, published (relaxed) every window
+  /// for concurrent telemetry readers.
   std::vector<std::atomic<std::uint64_t>> events_;
-  /// Earliest straggler deliver-time observed by each shard in the closing
-  /// scan of an optimistic round (kIdle when none).
-  std::vector<std::atomic<std::int64_t>> straggler_min_;
-  /// Strategy currently executed (fixed unless cfg_.strategy == kAuto, in
-  /// which case shard 0 retunes it between rounds).
-  std::atomic<SyncStrategy> mode_;
   /// Messages delivered per destination shard (owner-thread writes only).
   std::vector<std::uint64_t> delivered_;
-  /// Per-shard rollback accounting (owner-thread writes, summed after join).
-  std::vector<std::uint64_t> anti_;
-  std::vector<std::uint64_t> wasted_;
   std::uint64_t windows_ = 0;
-  std::uint64_t speculative_windows_ = 0;
-  std::uint64_t rollbacks_ = 0;
-  /// kAuto controller state (shard-0 thread only).
-  std::uint64_t auto_rounds_ = 0;
-  std::uint64_t auto_opt_rounds_ = 0;
-  std::uint64_t auto_opt_rollback_base_ = 0;
-  bool auto_locked_conservative_ = false;
 };
 
 }  // namespace ilu

@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "runtime/indexed_heap.hpp"
 #include "runtime/runtime.hpp"
@@ -42,36 +40,8 @@
 namespace ilu {
 
 class SimRuntime final : public Runtime {
- private:
-  // Declared ahead of the public section so Checkpoint can embed the heap
-  // type; everything else stays in the private block below.
-  struct EventKey {
-    TimePoint deadline;
-    std::uint64_t seq;
-    bool operator<(const EventKey& o) const {
-      if (deadline != o.deadline) return deadline < o.deadline;
-      return seq < o.seq;
-    }
-  };
-  using Heap = IndexedHeap<EventKey, Task>;
-
  public:
   SimRuntime() = default;
-
-  /// A full rollback point: clock, sequence counters, a deep copy of the
-  /// pending-event heap (closures cloned via Task::clone — every capture
-  /// scheduled on a checkpointable shard must be copy-constructible), and
-  /// one opaque blob per registered Snapshotter. Move-only; the heap copy
-  /// preserves slot generations, so TimerIds issued before the checkpoint
-  /// remain valid after restore(). Produced/consumed only by the optimistic
-  /// sharded engine (DESIGN.md §16).
-  struct Checkpoint {
-    TimePoint now{};
-    std::uint64_t next_seq = 0;
-    std::uint64_t processed = 0;
-    Heap heap;
-    std::vector<std::shared_ptr<void>> blobs;
-  };
 
   TimePoint now() const override {
     ILU_ASSERT_OWNER(owner_, "SimRuntime::now");
@@ -133,24 +103,17 @@ class SimRuntime final : public Runtime {
   /// confinement on behalf of this runtime.
   const OwnerRecord& owner() const noexcept { return owner_; }
 
-  /// Snapshotters registered here are saved into every Checkpoint and
-  /// replayed (in registration order) by restore().
-  void add_snapshotter(Snapshotter s) override {
-    snapshotters_.push_back(std::move(s));
-  }
-  bool supports_snapshot() const override { return true; }
-
-  /// Capture a rollback point: clock, counters, a deep heap copy, and every
-  /// registered component blob. O(pending events + component state); called
-  /// once per speculative window by the optimistic sharded engine.
-  Checkpoint checkpoint() const;
-
-  /// Rewind to a previously captured Checkpoint, consuming it. Every event
-  /// scheduled and every component mutation made since the checkpoint is
-  /// discarded; TimerIds issued before it remain valid.
-  void restore(Checkpoint&& cp);
-
  private:
+  struct EventKey {
+    TimePoint deadline;
+    std::uint64_t seq;
+    bool operator<(const EventKey& o) const {
+      if (deadline != o.deadline) return deadline < o.deadline;
+      return seq < o.seq;
+    }
+  };
+  using Heap = IndexedHeap<EventKey, Task>;
+
   /// TimerIds encode the heap handle: (generation << 32) | slot. Slot
   /// generations start at 1, so no valid id is ever kInvalidTimer (0).
   static TimerId encode(Heap::Handle h) {
@@ -173,9 +136,6 @@ class SimRuntime final : public Runtime {
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   Heap heap_;
-  /// Component checkpoint hooks, in registration order (== blob order in
-  /// every Checkpoint taken from this runtime).
-  std::vector<Snapshotter> snapshotters_;
   /// Debug-build shard-ownership auditor (empty in Release).
   [[no_unique_address]] OwnerRecord owner_;
 };

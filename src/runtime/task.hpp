@@ -5,8 +5,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "util/dcheck.hpp"
-
 /// Small-buffer-optimized move-only callable used for every scheduled event.
 ///
 /// The discrete-event hot path schedules, moves (heap sifts), and fires
@@ -62,33 +60,12 @@ class Task {
   /// True when the callable lives in the inline buffer (for tests/benches).
   bool is_inline() const noexcept { return ops_ != nullptr && ops_->inline_stored; }
 
-  /// True when the stored callable is copy-constructible, i.e. clone() is
-  /// legal on this task. An empty task is trivially clonable.
-  bool clonable() const noexcept { return ops_ == nullptr || ops_->clone != nullptr; }
-
-  /// Duplicate the stored callable into a fresh Task. Tasks stay move-only
-  /// on every scheduling path — clone() exists solely for checkpointing:
-  /// SimRuntime::checkpoint() copies the pending-event heap so an optimistic
-  /// shard can roll back (DESIGN.md §16). Aborts (ILU_DCHECK) when the
-  /// callable is not copy-constructible; such closures must not be scheduled
-  /// on a shard that can speculate.
-  Task clone() const {
-    if (ops_ == nullptr) return Task{};
-    ILU_DCHECK(ops_->clone != nullptr,
-               "Task::clone of a non-copyable callable (checkpointed shards "
-               "require copy-constructible captures)");
-    return ops_->clone(buf_);
-  }
-
  private:
   struct Ops {
     void (*invoke)(void*);
     void (*destroy)(void*) noexcept;
     /// Move-construct into dst from src, then destroy src.
     void (*relocate)(void* dst, void* src) noexcept;
-    /// Copy the stored callable into a fresh Task; nullptr when the callable
-    /// type is not copy-constructible (clone() then aborts).
-    Task (*clone)(const void* src);
     bool inline_stored;
   };
 
@@ -100,51 +77,24 @@ class Task {
       ::new (dst) D(std::move(*static_cast<D*>(src)));
       static_cast<D*>(src)->~D();
     }
-    static Task clone(const void* src) {
-      Task t;
-      t.emplace(*static_cast<const D*>(src));
-      return t;
-    }
   };
 
   template <typename D>
   struct HeapOps {
     static D* ptr(void* p) noexcept { return *static_cast<D**>(p); }
-    static const D* ptr(const void* p) noexcept {
-      return *static_cast<D* const*>(p);
-    }
     static void invoke(void* p) { (*ptr(p))(); }
     static void destroy(void* p) noexcept { delete ptr(p); }
     static void relocate(void* dst, void* src) noexcept {
       *static_cast<D**>(dst) = ptr(src);
     }
-    static Task clone(const void* src) {
-      Task t;
-      t.emplace(*ptr(src));
-      return t;
-    }
   };
-
-  /// &Ops::clone when D is copyable, nullptr otherwise — evaluated at the
-  /// table-building stage so non-copyable captures never instantiate a copy
-  /// constructor.
-  template <typename OpsT, typename D>
-  static constexpr auto clone_of() -> Task (*)(const void*) {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      return &OpsT::clone;
-    } else {
-      return nullptr;
-    }
-  }
 
   template <typename D>
   static constexpr Ops kInlineOps{&InlineOps<D>::invoke, &InlineOps<D>::destroy,
-                                  &InlineOps<D>::relocate,
-                                  clone_of<InlineOps<D>, D>(), true};
+                                  &InlineOps<D>::relocate, true};
   template <typename D>
   static constexpr Ops kHeapOps{&HeapOps<D>::invoke, &HeapOps<D>::destroy,
-                                &HeapOps<D>::relocate,
-                                clone_of<HeapOps<D>, D>(), false};
+                                &HeapOps<D>::relocate, false};
 
   template <typename F>
   void emplace(F&& f) {

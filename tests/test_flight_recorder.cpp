@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -114,13 +115,18 @@ TEST(FlightRecorder, OneRingPerThread) {
   Recorder rec(true, 64);
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
+  // Every thread stays alive until all have recorded: a thread that exited
+  // early would hand its ring to a later one.
+  std::atomic<int> recorded{0};
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&rec, t] {
+    ts.emplace_back([&rec, &recorded, t] {
       for (int i = 0; i < kPerThread; ++i) {
         rec.record(static_cast<std::uint64_t>(i), Ev::kWindowBarrier,
                    static_cast<std::uint32_t>(t));
       }
+      recorded.fetch_add(1);
+      while (recorded.load() < kThreads) std::this_thread::yield();
     });
   }
   for (auto& t : ts) t.join();
@@ -132,6 +138,35 @@ TEST(FlightRecorder, OneRingPerThread) {
     ASSERT_EQ(d.events.size(), static_cast<std::size_t>(kPerThread));
     for (const auto& e : d.events) EXPECT_EQ(e.arg, d.events[0].arg);
   }
+}
+
+TEST(FlightRecorder, ExitedThreadRingIsReused) {
+  Recorder rec(true, 64);
+  std::thread([&rec] { rec.record(1, Ev::kWindowBarrier, 7); }).join();
+  std::thread([&rec] { rec.record(2, Ev::kWindowBarrier, 8); }).join();
+  ASSERT_EQ(rec.ring_count(), 1u)
+      << "the second thread must reuse the first one's ring";
+  auto rings = rec.snapshot_all();
+  ASSERT_EQ(rings[0].events.size(), 2u) << "reuse keeps the earlier records";
+  EXPECT_EQ(rings[0].events[0].arg, 7u);
+  EXPECT_EQ(rings[0].events[1].arg, 8u);
+}
+
+TEST(FlightRecorder, ThreadOutlivingItsRecorderLeavesItAlone) {
+  // A hand-back into the destroyed recorder is a use-after-free, which the
+  // ASan build of this test reports.
+  auto rec = std::make_unique<Recorder>(true, 64);
+  std::atomic<bool> recorded{false};
+  std::atomic<bool> destroyed{false};
+  std::thread t([&] {
+    rec->record(1, Ev::kWindowBarrier, 1);
+    recorded.store(true);
+    while (!destroyed.load()) std::this_thread::yield();
+  });
+  while (!recorded.load()) std::this_thread::yield();
+  rec.reset();
+  destroyed.store(true);
+  t.join();
 }
 
 TEST(FlightRecorder, DumpDecodeRoundTrip) {

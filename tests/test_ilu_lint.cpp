@@ -55,9 +55,8 @@ TEST(IluLint, CatalogueListsAllChecks) {
                        "wall-clock", "unordered-iter", "ptr-order",
                        "raw-thread", "std-function-hotpath",
                        "const-ref-capture", "registry-lookup-hotpath",
-                       "rollback-unsafe-effect", "lock-order",
-                       "atomics-discipline", "blocking-under-lock",
-                       "include-layering"}));
+                       "lock-order", "atomics-discipline",
+                       "blocking-under-lock", "include-layering"}));
 }
 
 // ---- wall-clock ----------------------------------------------------------
@@ -291,70 +290,6 @@ TEST(IluLint, RegistryLookupHotpathIgnoresTopLevelLookups) {
   EXPECT_TRUE(fs.empty()) << "wiring-time lookups outside lambdas are fine";
 }
 
-// ---- rollback-unsafe-effect ----------------------------------------------
-
-TEST(IluLint, RollbackUnsafeEffectFires) {
-  auto fs = lint_fixture_at("rollback_unsafe_effect.cpp", "core/fixture.cpp");
-  EXPECT_EQ(count_check(fs, "rollback-unsafe-effect"), 4)
-      << "two undeclared metric mutations, log_info, printf; the declared "
-         "flight::record and the by-value g.set() stay clean";
-  EXPECT_EQ(check_names(fs), std::set<std::string>{"rollback-unsafe-effect"});
-}
-
-TEST(IluLint, RollbackUnsafeEffectSuppressed) {
-  auto fs = lint_fixture_at("rollback_unsafe_effect_suppressed.cpp",
-                            "core/fixture.cpp");
-  EXPECT_TRUE(fs.empty()) << fs.size() << " unsuppressed finding(s)";
-}
-
-TEST(IluLint, RollbackUnsafeEffectQuietWithoutZonePragma) {
-  // The check is armed by the pragma, not by path: files outside any
-  // speculative zone may record and count freely.
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "void on_complete(int fn) {\n"
-      "  flight::record(1, 2, fn);\n"
-      "  completions_->inc();\n"
-      "}\n";
-  EXPECT_TRUE(lint_file(in).empty());
-}
-
-TEST(IluLint, RollbackUnsafeEffectLogChannelNotDeclarable) {
-  // Declaring the log channel rollback-safe is a grammar error, reported
-  // under the unsuppressible lint-suppression name.
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "// ilu-lint: speculative-zone(log) - wishful thinking\n"
-      "int x;\n";
-  auto fs = lint_file(in);
-  ASSERT_EQ(count_check(fs, "lint-suppression"), 1);
-  EXPECT_NE(fs.front().message.find("log channel"), std::string::npos)
-      << fs.front().message;
-}
-
-TEST(IluLint, RollbackUnsafeEffectUnknownChannelIsMalformed) {
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "// ilu-lint: speculative-zone(flight, tracing) - no such channel\n"
-      "int x;\n";
-  auto fs = lint_file(in);
-  ASSERT_EQ(count_check(fs, "lint-suppression"), 1);
-  EXPECT_NE(fs.front().message.find("tracing"), std::string::npos);
-}
-
-TEST(IluLint, RollbackUnsafeEffectReasonRequired) {
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "// ilu-lint: speculative-zone(flight)\n"
-      "int x;\n";
-  auto fs = lint_file(in);
-  EXPECT_EQ(count_check(fs, "lint-suppression"), 1);
-}
-
 // ---- suppression grammar -------------------------------------------------
 
 TEST(IluLint, MalformedSuppressionIsItselfAFinding) {
@@ -469,6 +404,26 @@ TEST(IluLint, LockOrderSingleTUSeesNoCycle) {
     auto fs = lint_tree_fixture("tree_lock_cycle", {one});
     EXPECT_EQ(count_check(fs, "lock-order"), 0) << one;
   }
+}
+
+TEST(IluLint, WeakPtrLockIsNotAMutexAcquisition) {
+  // Read as a mutex, peer_.lock() would order peer_ and mu_ both ways.
+  ilu::lint::FileInput in;
+  in.rel_path = "runtime/fixture.cpp";
+  in.content =
+      "struct S {\n"
+      "  std::mutex mu_;\n"
+      "  std::weak_ptr<S> peer_;\n"
+      "  void a() {\n"
+      "    std::lock_guard<std::mutex> g(mu_);\n"
+      "    if (auto p = peer_.lock()) p->poke();\n"
+      "  }\n"
+      "  void b() {\n"
+      "    auto p = peer_.lock();\n"
+      "    std::lock_guard<std::mutex> g(mu_);\n"
+      "  }\n"
+      "};\n";
+  EXPECT_EQ(count_check(lint_file(in), "lock-order"), 0);
 }
 
 TEST(IluLint, LayeringBackEdgeAndCycle) {

@@ -56,15 +56,15 @@ lint_strict
 #    asan/ubsan engine smoke tests.
 run_config werror -DILU_WERROR=ON
 
-# 1b. Shard-synchronization gates on the werror build (DESIGN.md §16):
+# 1b. Shard-synchronization gates on the werror build (DESIGN.md §9/§16):
 #     a focused re-run of the sharded suites, then the cluster equivalence
-#     check under the optimistic (Time Warp) engine — byte-identical reports
-#     or a non-zero exit. Kept to 2 shards / both placements so this stays
-#     seconds-scale; the full sync x placement matrix is the bench's default.
+#     check under CH-BL locality placement — byte-identical reports or a
+#     non-zero exit. Kept to 2 shards so this stays seconds-scale; the full
+#     placement matrix is the bench's default.
 echo "==> [sync-gates] ctest -L sharded"
 (cd "$root/werror" && ctest -L sharded -j "$jobs" --output-on-failure) || exit 1
-echo "==> [sync-gates] cluster_scaling --shards 2 --sync optimistic"
-"$root/werror/bench/cluster_scaling" --shards 2 --sync optimistic || exit 1
+echo "==> [sync-gates] cluster_scaling --shards 2 --placement locality"
+"$root/werror/bench/cluster_scaling" --shards 2 --placement locality || exit 1
 
 # 2. Debug ownership auditor over the full suite: every cross-thread access
 #    in any test would abort here.

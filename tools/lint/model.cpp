@@ -497,7 +497,10 @@ class Extractor {
         }
         return;
       }
-      // Raw `x.lock()` / `a.b.lock()` on a lock object.
+      // Raw `x.lock()` / `a.b.lock()` on a lock object. Mutex and guard
+      // lock() return void, so a call whose value is used (std::weak_ptr's
+      // lock() yields a shared_ptr) acquires nothing.
+      if (i + 3 >= ts_.size() || !is_punct(ts_[i + 3], ";")) return;
       std::size_t e = i - 1;  // exclusive end: the `.`
       std::size_t b = e;
       {

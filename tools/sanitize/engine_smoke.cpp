@@ -94,34 +94,11 @@ void smoke_sharded_runtime() {
   require(srt.messages() > 0, "cross-shard mail was delivered");
 }
 
-// Optimistic (Time Warp) rollback under the sanitizers: shard 1 speculates
-// far ahead on dense local work, shard 0's late message lands in its
-// executed past, and the straggler scan must checkpoint-restore (heap
-// clone, task copies, outbox annihilation) rather than abort.
-void smoke_optimistic_rollback() {
-  ilu::SyncConfig cfg;
-  cfg.strategy = ilu::SyncStrategy::kOptimistic;
-  cfg.speculation = 8.0;
-  ilu::ShardedRuntime srt(2, ilu::Duration{100}, cfg);
-  for (std::int64_t t = 10; t <= 2000; t += 10) {
-    srt.shard(1).schedule(ilu::Duration{t}, [] {});
-  }
-  std::uint64_t delivered = 0;
-  srt.shard(0).schedule(ilu::Duration{1000}, [&srt, &delivered] {
-    srt.send(0, 1, srt.shard(0).now() + ilu::Duration{1}, 7,
-             [&delivered] { ++delivered; });
-  });
-  srt.run_until(ilu::TimePoint{3000});
-  require(delivered == 1, "straggler delivered exactly once");
-  require(srt.rollbacks() >= 1, "speculation was actually rolled back");
-}
-
 }  // namespace
 
 int main() {
   smoke_sim_runtime();
   smoke_sharded_runtime();
-  smoke_optimistic_rollback();
   std::puts("engine_smoke: OK");
   return 0;
 }
