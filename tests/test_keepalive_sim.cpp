@@ -102,8 +102,11 @@ TEST(KeepAliveSim, HistBeatsTtlOnRegularWorkload) {
 }
 
 /// Property sweep: every policy, several capacities — invariants hold.
+/// The policy is a std::string, not a const char*: gtest prints the param
+/// into the discovered ctest name, and a pointer would print its load
+/// address, which changes with every run.
 class PolicyCapacitySweep
-    : public ::testing::TestWithParam<std::tuple<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::uint64_t>> {
 };
 
 TEST_P(PolicyCapacitySweep, InvariantsHold) {
@@ -126,7 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("TTL", "LRU", "FREQ", "GD", "LND", "HIST"),
         ::testing::Values(512u, 4096u, 32768u)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param)) + "mb";
     });
 
