@@ -30,7 +30,7 @@ int main() {
   double target = 0.0;
   {
     auto policy = make_policy("GD");
-    KeepAliveCache cache(*policy, {.capacity_mb = 7000}, trace.functions);
+    KeepAliveReplay replay(*policy, 7000, trace.functions);
     SlidingRateMeter meter(mins(30));
     double sum = 0.0;
     std::size_t n = 0;
@@ -43,8 +43,7 @@ int main() {
         }
         next_sample += mins(2);
       }
-      auto out = cache.on_invocation(e.fn, e.at);
-      if (!out.warm) meter.record(e.at);
+      if (!replay.on_invocation(e.fn, e.at).warm) meter.record(e.at);
     }
     target = n ? sum / static_cast<double>(n) : 1.0;
   }

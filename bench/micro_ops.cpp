@@ -188,24 +188,6 @@ void BM_GreedyDualPriority(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyDualPriority);
 
-void BM_KeepAliveCacheInvocation(benchmark::State& state) {
-  GreedyDualPolicy policy;
-  std::vector<FunctionProfile> fns;
-  for (int i = 0; i < 64; ++i) {
-    fns.push_back(lookbusy(msecs(100 + i), 64 + i * 5, msecs(500)));
-  }
-  KeepAliveCache cache(policy, {.capacity_mb = 4096}, fns);
-  std::uint64_t t = 0;
-  std::uint32_t k = 0;
-  for (auto _ : state) {
-    cache.on_invocation((k * 17) % 64, usecs(t));
-    t += 499;
-    ++k;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_KeepAliveCacheInvocation);
-
 void BM_ContainerPoolAcquireReturn(benchmark::State& state) {
   SimRuntime rt;
   LruPolicy policy;

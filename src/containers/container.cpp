@@ -13,23 +13,4 @@ const char* to_string(ContainerState s) {
   return "?";
 }
 
-bool valid_transition(ContainerState from, ContainerState to) {
-  switch (from) {
-    case ContainerState::Provisioning:
-      return to == ContainerState::Launching || to == ContainerState::Removed;
-    case ContainerState::Launching:
-      // A cold-start container goes straight to Running (the pending
-      // invocation is waiting on it); a prewarmed one parks as Idle.
-      return to == ContainerState::Idle || to == ContainerState::Running ||
-             to == ContainerState::Removed;
-    case ContainerState::Idle:
-      return to == ContainerState::Running || to == ContainerState::Removed;
-    case ContainerState::Running:
-      return to == ContainerState::Idle || to == ContainerState::Removed;
-    case ContainerState::Removed:
-      return false;
-  }
-  return false;
-}
-
 }  // namespace ilu

@@ -72,7 +72,4 @@ struct Container {
 /// Slab owner of every container record; `ContainerHandle` indexes into it.
 using ContainerStore = Slab<Container, ContainerHandle>;
 
-/// Legal state transitions; used by the worker in debug builds.
-bool valid_transition(ContainerState from, ContainerState to);
-
 }  // namespace ilu

@@ -1,6 +1,5 @@
 #include "core/worker.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "keepalive/policy.hpp"
@@ -304,13 +303,7 @@ void Worker::cold_start(PendingHandle p) {
           }
           return;
         }
-        Container& cc = pool_.get(c);
-        cc.state = ContainerState::Launching;
-        assert(valid_transition(ContainerState::Launching,
-                                ContainerState::Running));
-        cc.state = ContainerState::Running;
-        ++cc.entry.uses;
-        cc.entry.last_used = rt_.now();
+        pool_.launch(c, rt_.now());
         launch_exec(p, c, /*cold=*/true);
       });
     });

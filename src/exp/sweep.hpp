@@ -17,8 +17,8 @@
 ///
 /// The paper's trace-scale evaluation (Figs 4/5, the ablations) is a grid of
 /// *independent, deterministic* simulations — each task builds its own
-/// SimRuntime / KeepAliveCache / Worker from an explicit seed and shares
-/// nothing mutable with its siblings. SweepRunner fans such grids across
+/// SimRuntime + ContainerPool (a trace replay) or Worker from an explicit
+/// seed and shares nothing mutable with its siblings. SweepRunner fans such grids across
 /// hardware threads with a work-stealing scheduler while preserving the
 /// sequential path's observable behaviour exactly:
 ///
@@ -71,8 +71,8 @@ class SweepRunner {
   /// Cooperative cancellation: no further jobs are claimed after this is
   /// called; jobs already running complete normally. Sticky for the
   /// lifetime of the runner, and async-signal-safe (a lock-free atomic
-  /// store), so SIGINT handlers may call it directly — the fig4/fig5
-  /// drivers do, to print partial grids instead of dying mid-sweep.
+  /// store), so SIGINT handlers may call it directly — the fig4
+  /// driver does, to print partial grids instead of dying mid-sweep.
   void request_stop() noexcept {
     stop_requested_.store(true, std::memory_order_relaxed);
   }

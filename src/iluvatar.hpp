@@ -13,7 +13,7 @@
 ///   containers container records, backends (containerd/docker/crun/null
 ///              latency profiles), netns pool
 ///   keepalive/ caching-based keep-alive: policies (TTL/LRU/FREQ/GD/LND/
-///              HIST), the container pool, the trace simulator, dynamic
+///              HIST), the container pool and its trace replay, dynamic
 ///              provisioning
 ///   queueing/  invocation queue disciplines (FCFS/SJF/EEDF/RARE),
 ///              concurrency regulator (fixed/AIMD), bypass
@@ -43,7 +43,6 @@
 #include "exp/keepalive_sweep.hpp"
 #include "exp/live_load.hpp"
 #include "exp/sweep.hpp"
-#include "keepalive/cache.hpp"
 #include "keepalive/policy.hpp"
 #include "keepalive/pool.hpp"
 #include "keepalive/provisioner.hpp"

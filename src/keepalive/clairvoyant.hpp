@@ -13,13 +13,14 @@
 /// [bender1998flow] for the queueing analogue), so this is the standard
 /// upper-bound *reference* for the online policies in the simulator — a
 /// research-platform feature, not something a real control plane can run.
+/// Replay it with run_keepalive_sim_with (keepalive/simulator.hpp).
 namespace ilu {
 
 class ClairvoyantPolicy final : public KeepAlivePolicy {
  public:
   /// Builds per-function future-arrival indices from the trace. The policy
-  /// must then observe every invocation via on_invocation (the keep-alive
-  /// simulator does this) so its "now cursor" stays in sync.
+  /// must then observe every invocation via on_invocation (the trace
+  /// replay does this) so its "now cursor" stays in sync.
   explicit ClairvoyantPolicy(const Trace& trace);
 
   std::string name() const override { return "ORACLE"; }
@@ -38,9 +39,5 @@ class ClairvoyantPolicy final : public KeepAlivePolicy {
   };
   std::unordered_map<FunctionId, FnFuture> future_;
 };
-
-/// Run the keep-alive simulator under the oracle (convenience mirror of
-/// run_keepalive_sim for the policy that needs the trace to construct).
-struct KeepAliveSimResult;
 
 }  // namespace ilu

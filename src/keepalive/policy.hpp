@@ -15,9 +15,9 @@
 /// recency, initialization cost, memory size).
 namespace ilu {
 
-/// A warm container as seen by a keep-alive policy. The same record backs
-/// both the lean trace simulator (keepalive/simulator.hpp) and the full
-/// control-plane container pool (keepalive/pool.hpp).
+/// A warm container as seen by a keep-alive policy: the keep-alive part of
+/// a ContainerPool record (keepalive/pool.hpp), which the worker and the
+/// trace replay (keepalive/simulator.hpp) share.
 struct CacheEntry {
   FunctionId fn = 0;
   std::uint32_t mem_mb = 0;

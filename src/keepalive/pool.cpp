@@ -67,7 +67,7 @@ void ContainerPool::insert_idle(ContainerHandle h, Container& c) {
   if (head.valid()) store_.get(head).idle_prev = h;
   idle_head_[c.fn] = h;
   RankHeap::Handle rh =
-      rank_.push(RankKey{policy_.eviction_rank(c.entry), h.index}, h);
+      rank_.push(RankKey{policy_.eviction_rank(c.entry), next_idle_seq_++}, h);
   c.rank_slot = rh.slot;
   c.rank_gen = rh.gen;
   if (c.prewarm_parked) ++prewarmed_idle_;
@@ -165,6 +165,14 @@ ContainerHandle ContainerPool::add_container(FunctionId fn,
   return h;
 }
 
+void ContainerPool::launch(ContainerHandle h, TimePoint now) {
+  Container& c = store_.get(h);
+  assert(c.state == ContainerState::Provisioning);
+  c.state = ContainerState::Running;
+  ++c.entry.uses;
+  c.entry.last_used = now;
+}
+
 void ContainerPool::return_container(ContainerHandle h, TimePoint now) {
   Container& c = store_.get(h);
   assert(c.state == ContainerState::Running);
@@ -214,11 +222,13 @@ void ContainerPool::sweep(TimePoint now) {
     if (exp.has_value() && *exp <= now) expired_scratch_.push_back(h);
   });
   for (ContainerHandle h : expired_scratch_) {
-    FunctionId fn = store_.get(h).fn;
+    const Container& c = store_.get(h);
+    FunctionId fn = c.fn;
+    bool unused_prewarm = c.prewarm_parked;
     evict_one(h, /*expired=*/true);
     // Prefetching policies may want the container back before the next
     // predicted arrival (HIST's eager-evict + prewarm pattern).
-    if (on_prewarm_request_ && !has_idle(fn)) {
+    if (on_prewarm_request_ && !unused_prewarm && !has_idle(fn)) {
       if (auto at = policy_.prewarm_at(fn, now)) {
         on_prewarm_request_(fn, *at);
       }

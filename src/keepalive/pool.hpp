@@ -23,11 +23,11 @@
 ///
 ///  * per-function intrusive LIFO lists (prev/next handles stored in the
 ///    record itself) for MRU `acquire`;
-///  * an indexed min-heap keyed `(eviction_rank, slot index)` for victim
-///    selection. Including the slot index in the key makes the victim order
-///    a total, run-to-run-stable order by construction — ties that the old
-///    `multimap` broke by insertion order are now broken by canonical
-///    handle order.
+///  * an indexed min-heap keyed `(eviction_rank, idle sequence)` for victim
+///    selection. The sequence is a per-pool counter stamped each time a
+///    container goes idle, so among equal ranks the container idle longest
+///    goes first, and the victim order is total and run-to-run stable by
+///    construction.
 ///
 /// After warm-up, acquire/return/evict perform zero heap allocations.
 namespace ilu {
@@ -101,6 +101,10 @@ class ContainerPool {
                                 TimePoint now,
                                 std::size_t* sync_evictions = nullptr);
 
+  /// Provisioning -> Running: a freshly created container takes the cold
+  /// invocation it was created for.
+  void launch(ContainerHandle h, TimePoint now);
+
   /// Running -> Idle; the container becomes available for reuse.
   void return_container(ContainerHandle h, TimePoint now);
 
@@ -136,7 +140,11 @@ class ContainerPool {
   const ContainerStore& store() const { return store_; }
 
   /// One background sweep: expire per policy, then restore the free buffer.
-  /// Public so tests and the sync-eviction ablation can drive it directly.
+  /// An expiry asks for a prewarm only when the container served an
+  /// invocation: one that expires still parked from a prewarm was never
+  /// needed, and re-prewarming it would loop for as long as the function
+  /// stays quiet. Public so tests and the sync-eviction ablation can drive
+  /// it directly.
   void sweep(TimePoint now);
 
   /// O(n) structural invariant check for tests: memory accounting, idle
@@ -145,14 +153,14 @@ class ContainerPool {
   bool validate(std::string* why = nullptr) const;
 
  private:
-  /// Rank-heap key: policy eviction rank, slot index as canonical
-  /// tie-break. Strictly totally ordered, so victim order is deterministic
-  /// by construction.
+  /// Rank-heap key: policy eviction rank, then the order containers went
+  /// idle (LRU among equal ranks). Strictly totally ordered, so victim
+  /// order is deterministic by construction.
   struct RankKey {
     double rank;
-    std::uint32_t index;
+    std::uint64_t idle_seq;
     bool operator<(const RankKey& o) const {
-      return rank < o.rank || (rank == o.rank && index < o.index);
+      return rank < o.rank || (rank == o.rank && idle_seq < o.idle_seq);
     }
   };
   using RankHeap = IndexedHeap<RankKey, ContainerHandle>;
@@ -176,6 +184,8 @@ class ContainerPool {
   std::uint64_t capacity_mb_;
   std::uint64_t used_mb_ = 0;
   ContainerId next_id_ = 1;
+  /// Stamped into the rank key each time a container goes idle.
+  std::uint64_t next_idle_seq_ = 0;
 
   ContainerStore store_;
   /// Head of the per-function intrusive idle list (MRU first), indexed by

@@ -1,11 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "keepalive/cache.hpp"
+#include "keepalive/simulator.hpp"
 #include "util/stats.hpp"
 
 /// Dynamic vertical scaling of the keep-alive cache (the paper's Fig 8):
@@ -39,34 +38,10 @@ struct ProvisionSample {
   bool resized = false;
 };
 
-/// Anything whose memory capacity the controller can resize: the lean
-/// KeepAliveCache, a Worker's ContainerPool, or a test double.
-class CapacityTarget {
- public:
-  virtual ~CapacityTarget() = default;
-  virtual std::uint64_t capacity_mb() const = 0;
-  virtual void set_capacity_mb(std::uint64_t mb) = 0;
-};
-
-/// Adapter for any object exposing capacity_mb()/set_capacity_mb().
-template <typename T>
-class CapacityOf final : public CapacityTarget {
- public:
-  explicit CapacityOf(T& target) : target_(target) {}
-  std::uint64_t capacity_mb() const override { return target_.capacity_mb(); }
-  void set_capacity_mb(std::uint64_t mb) override {
-    target_.set_capacity_mb(mb);
-  }
-
- private:
-  T& target_;
-};
-
+/// Resizes a ContainerPool: a trace replay's (Fig 8) or a live worker's.
 class Provisioner {
  public:
-  Provisioner(CapacityTarget& target, ProvisionerConfig cfg);
-  /// Convenience: drive a KeepAliveCache directly.
-  Provisioner(KeepAliveCache& cache, ProvisionerConfig cfg);
+  Provisioner(ContainerPool& pool, ProvisionerConfig cfg);
 
   /// Record a cold start at time t (call on every cache miss).
   void record_miss(TimePoint t);
@@ -78,8 +53,7 @@ class Provisioner {
   double average_capacity_mb() const;
 
  private:
-  std::unique_ptr<CapacityTarget> owned_adapter_;
-  CapacityTarget& target_;
+  ContainerPool& pool_;
   ProvisionerConfig cfg_;
   SlidingRateMeter misses_;
   TimePoint next_eval_;
@@ -88,7 +62,7 @@ class Provisioner {
 
 struct DynamicProvisioningResult {
   std::vector<ProvisionSample> timeseries;
-  KeepAliveCache::Stats stats;
+  KeepAliveReplay::Stats stats;
   double average_capacity_mb = 0.0;
   std::uint64_t static_capacity_mb = 0;  // the conservative baseline
 };

@@ -20,12 +20,7 @@ class ContainerPoolTest : public ::testing::Test {
   ContainerHandle make_running(FunctionId fn, std::uint32_t mem) {
     auto profile = lookbusy(secs(1), mem, secs(1));
     ContainerHandle h = pool_.add_container(fn, profile, rt_.now());
-    if (h.valid()) {
-      Container& c = pool_.get(h);
-      c.state = ContainerState::Launching;
-      c.state = ContainerState::Running;
-      ++c.entry.uses;
-    }
+    if (h.valid()) pool_.launch(h, rt_.now());
     return h;
   }
 
@@ -82,6 +77,18 @@ TEST_F(ContainerPoolTest, MemoryPressureEvictsIdleLru) {
   EXPECT_TRUE(pool_.alive(b));
 }
 
+TEST_F(ContainerPoolTest, EqualRanksEvictTheLongestIdleFirst) {
+  // LRU ranks by last use, so both containers tie at t=1. b went idle
+  // first but holds the higher slot index; slot order must not decide.
+  ContainerHandle a = make_running(0, 400);
+  ContainerHandle b = make_running(1, 400);
+  ASSERT_GT(b.index, a.index);
+  pool_.return_container(b, secs(1));
+  pool_.return_container(a, secs(1));
+  pool_.set_capacity_mb(500);
+  EXPECT_EQ(evicted_, std::vector<FunctionId>{1});
+}
+
 TEST_F(ContainerPoolTest, BusyContainersCannotBeEvicted) {
   make_running(0, 600);
   make_running(1, 300);
@@ -110,12 +117,10 @@ TEST_F(ContainerPoolTest, SweepRestoresFreeBuffer) {
                      [&](const Container& c) { evicted.push_back(c.fn); });
   ContainerHandle x =
       pool.add_container(0, lookbusy(secs(1), 400, secs(1)), rt_.now());
-  pool.get(x).state = ContainerState::Launching;
-  pool.get(x).state = ContainerState::Running;
+  pool.launch(x, rt_.now());
   ContainerHandle y =
       pool.add_container(1, lookbusy(secs(1), 400, secs(1)), rt_.now());
-  pool.get(y).state = ContainerState::Launching;
-  pool.get(y).state = ContainerState::Running;
+  pool.launch(y, rt_.now());
   pool.return_container(x, secs(1));
   pool.return_container(y, secs(2));
   pool.sweep(secs(3));
@@ -133,14 +138,53 @@ TEST_F(ContainerPoolTest, BackgroundSweepRunsOnTimer) {
                      [&](const Container& c) { evicted.push_back(c.fn); });
   ContainerHandle c =
       pool.add_container(0, lookbusy(secs(1), 100, secs(1)), rt_.now());
-  pool.get(c).state = ContainerState::Launching;
-  pool.get(c).state = ContainerState::Running;
+  pool.launch(c, rt_.now());
   pool.return_container(c, rt_.now());
   pool.start();
   rt_.run_until(secs(10));
   pool.stop();
   EXPECT_EQ(evicted.size(), 1u);
   EXPECT_EQ(pool.expirations(), 1u);
+}
+
+/// TTL policy that wants a prewarm after every expiry.
+class PrefetchingTtl final : public KeepAlivePolicy {
+ public:
+  std::string name() const override { return "PREFETCH_TTL"; }
+  void on_access(CacheEntry&, TimePoint) override {}
+  double eviction_rank(const CacheEntry& e) const override {
+    return static_cast<double>(e.last_used.count());
+  }
+  std::optional<TimePoint> expires_at(const CacheEntry& e) const override {
+    return e.last_used + secs(5);
+  }
+  std::optional<TimePoint> prewarm_at(FunctionId,
+                                      TimePoint now) const override {
+    return now;
+  }
+};
+
+TEST_F(ContainerPoolTest, OnlyUsedContainersAskForPrewarmOnExpiry) {
+  PrefetchingTtl policy;
+  ContainerPool pool(rt_, policy,
+                     ContainerPool::Config{.capacity_mb = 1000,
+                                           .free_buffer_mb = 0},
+                     nullptr);
+  std::vector<FunctionId> requested;
+  pool.set_prewarm_requester(
+      [&](FunctionId fn, TimePoint) { requested.push_back(fn); });
+  ContainerHandle used =
+      pool.add_container(0, lookbusy(secs(1), 100, secs(1)), rt_.now());
+  pool.launch(used, rt_.now());
+  pool.return_container(used, secs(1));
+  ContainerHandle parked =
+      pool.add_container(1, lookbusy(secs(1), 100, secs(1)), rt_.now());
+  pool.get(parked).state = ContainerState::Launching;
+  pool.park_prewarmed(parked, secs(1));
+  pool.sweep(secs(10));
+  EXPECT_EQ(pool.expirations(), 2u);
+  // The parked container was never needed: prewarming it again would loop.
+  EXPECT_EQ(requested, std::vector<FunctionId>{0});
 }
 
 TEST_F(ContainerPoolTest, StopCancelsSweepTimer) {

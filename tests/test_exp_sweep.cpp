@@ -97,8 +97,8 @@ TEST(SweepRunner, MatchesPlainSequentialLoop) {
 }
 
 TEST(SweepRunner, KeepAliveSweepDeterministicAcrossThreads) {
-  // The real fig4/fig5 cell: KeepAliveCache replay over a shared read-only
-  // trace, swept over cache sizes.
+  // The real fig4/fig5 cell: a ContainerPool replay over a shared
+  // read-only trace, swept over cache sizes.
   std::vector<SyntheticFunctionSpec> specs = {
       {.profile = lookbusy(msecs(100), 512, secs(1)), .mean_iat = msecs(50),
        .exponential = true},

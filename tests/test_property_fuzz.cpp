@@ -9,8 +9,8 @@
 #include <map>
 
 #include "containers/cpu_model.hpp"
-#include "keepalive/cache.hpp"
 #include "keepalive/pool.hpp"
+#include "keepalive/simulator.hpp"
 #include "queueing/invocation_queue.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "trace/function_profile.hpp"
@@ -19,10 +19,11 @@
 namespace ilu {
 namespace {
 
-// ---------- KeepAliveCache vs a reference LRU model ----------
+// ---------- KeepAliveReplay vs a reference LRU model ----------
 
 /// Straight-line reference: a list of (fn, release_time) containers with
-/// LRU eviction and no TTL, processed per-invocation.
+/// LRU eviction and no TTL, processed per-invocation. Last use is stamped
+/// at completion, when the container comes back, as the worker's pool does.
 struct ReferenceLru {
   struct Entry {
     FunctionId fn;
@@ -46,7 +47,7 @@ struct ReferenceLru {
     }
     if (best != nullptr) {
       ++warm;
-      best->last_used = t;
+      best->last_used = t + exec_warm;
       best->busy_until = t + exec_warm;
       return;
     }
@@ -69,11 +70,11 @@ struct ReferenceLru {
     }
     ++cold;
     used += mem;
-    entries.push_back(Entry{fn, t, t + exec_cold, mem});
+    entries.push_back(Entry{fn, t + exec_cold, t + exec_cold, mem});
   }
 };
 
-TEST(FuzzKeepAliveCache, MatchesReferenceLruOnRandomWorkloads) {
+TEST(FuzzKeepAliveReplay, MatchesReferenceLruOnRandomWorkloads) {
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     Rng rng(seed);
     std::vector<FunctionProfile> fns;
@@ -83,24 +84,24 @@ TEST(FuzzKeepAliveCache, MatchesReferenceLruOnRandomWorkloads) {
                              msecs(rng.uniform(100, 3000))));
     }
     LruPolicy policy;
-    KeepAliveCache cache(policy, {.capacity_mb = 1500}, fns);
+    KeepAliveReplay replay(policy, 1500, fns);
     ReferenceLru ref{.capacity = 1500, .used = 0, .entries = {}};
 
     TimePoint t{};
     for (int k = 0; k < 3000; ++k) {
       t += msecs(rng.uniform(1, 500));
       auto fn = static_cast<FunctionId>(rng.uniform_index(fns.size()));
-      cache.on_invocation(fn, t);
+      replay.on_invocation(fn, t);
       ref.invoke(fn, fns[fn].mem_mb, fns[fn].warm_time, fns[fn].cold_time(),
                  t);
     }
-    EXPECT_EQ(cache.stats().warm_starts, ref.warm) << "seed " << seed;
-    EXPECT_EQ(cache.stats().cold_starts, ref.cold) << "seed " << seed;
-    EXPECT_EQ(cache.stats().dropped, ref.dropped) << "seed " << seed;
+    EXPECT_EQ(replay.stats().warm_starts, ref.warm) << "seed " << seed;
+    EXPECT_EQ(replay.stats().cold_starts, ref.cold) << "seed " << seed;
+    EXPECT_EQ(replay.stats().dropped, ref.dropped) << "seed " << seed;
   }
 }
 
-TEST(FuzzKeepAliveCache, MemoryNeverExceedsCapacityUnderAnyPolicy) {
+TEST(FuzzKeepAliveReplay, MemoryNeverExceedsCapacityUnderAnyPolicy) {
   for (const char* pol : {"TTL", "LRU", "FREQ", "GD", "LND", "HIST"}) {
     auto policy = make_policy(pol);
     Rng rng(42);
@@ -110,21 +111,20 @@ TEST(FuzzKeepAliveCache, MemoryNeverExceedsCapacityUnderAnyPolicy) {
                              static_cast<std::uint32_t>(rng.uniform(32, 700)),
                              msecs(rng.uniform(50, 4000))));
     }
-    KeepAliveCache cache(*policy, {.capacity_mb = 2000}, fns);
+    KeepAliveReplay replay(*policy, 2000, fns);
     TimePoint t{};
     std::uint64_t admitted = 0;
     for (int k = 0; k < 5000; ++k) {
       t += msecs(rng.uniform(0, 300));
-      auto out = cache.on_invocation(
+      auto out = replay.on_invocation(
           static_cast<FunctionId>(rng.uniform_index(fns.size())), t);
       if (!out.dropped) ++admitted;
       // Core safety invariant: never oversubscribe memory.
-      ASSERT_LE(cache.used_mb(), 2000u) << pol << " step " << k;
+      ASSERT_LE(replay.pool().used_mb(), 2000u) << pol << " step " << k;
     }
     EXPECT_GT(admitted, 0u);
-    EXPECT_EQ(cache.stats().warm_starts + cache.stats().cold_starts +
-                  cache.stats().dropped,
-              5000u)
+    const auto stats = replay.stats();
+    EXPECT_EQ(stats.warm_starts + stats.cold_starts + stats.dropped, 5000u)
         << pol;
   }
 }

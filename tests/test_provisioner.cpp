@@ -13,39 +13,39 @@ namespace ilu {
 namespace {
 
 TEST(Provisioner, GrowsUnderMissPressure) {
+  SimRuntime rt;
   LruPolicy policy;
-  KeepAliveCache cache(policy, {.capacity_mb = 2048},
-                       {lookbusy(secs(1), 100, secs(1))});
+  ContainerPool pool(rt, policy, {.capacity_mb = 2048}, nullptr);
   ProvisionerConfig cfg;
   cfg.initial_capacity_mb = 2048;
   cfg.target_miss_rate = 0.001;
   cfg.interval = mins(1);
   cfg.window = mins(5);
-  Provisioner prov(cache, cfg);
+  Provisioner prov(pool, cfg);
   // 1 miss per second — far above target.
   for (int i = 0; i < 600; ++i) prov.record_miss(secs(i));
   prov.maybe_adjust(secs(600));
-  EXPECT_GT(cache.capacity_mb(), 2048u);
+  EXPECT_GT(pool.capacity_mb(), 2048u);
 }
 
 TEST(Provisioner, ShrinksWhenMissesAreRare) {
+  SimRuntime rt;
   LruPolicy policy;
-  KeepAliveCache cache(policy, {.capacity_mb = 8192},
-                       {lookbusy(secs(1), 100, secs(1))});
+  ContainerPool pool(rt, policy, {.capacity_mb = 8192}, nullptr);
   ProvisionerConfig cfg;
   cfg.initial_capacity_mb = 8192;
   cfg.target_miss_rate = 0.1;
   cfg.interval = mins(1);
-  Provisioner prov(cache, cfg);
+  Provisioner prov(pool, cfg);
   // No misses at all.
   prov.maybe_adjust(mins(30));
-  EXPECT_LT(cache.capacity_mb(), 8192u);
+  EXPECT_LT(pool.capacity_mb(), 8192u);
 }
 
 TEST(Provisioner, DeadbandPreventsSmallAdjustments) {
+  SimRuntime rt;
   LruPolicy policy;
-  KeepAliveCache cache(policy, {.capacity_mb = 4096},
-                       {lookbusy(secs(1), 100, secs(1))});
+  ContainerPool pool(rt, policy, {.capacity_mb = 4096}, nullptr);
   ProvisionerConfig cfg;
   cfg.initial_capacity_mb = 4096;
   cfg.target_miss_rate = 0.01;  // = 0.6 misses/min
@@ -54,36 +54,36 @@ TEST(Provisioner, DeadbandPreventsSmallAdjustments) {
   // is the steady 0.0117/s (inside the 50% deadband).
   cfg.interval = mins(10);
   cfg.window = mins(10);
-  Provisioner prov(cache, cfg);
+  Provisioner prov(pool, cfg);
   for (int i = 0; i < 7; ++i) prov.record_miss(mins(10.0 * i / 7.0));
   prov.maybe_adjust(mins(10));
   for (const auto& s : prov.samples()) EXPECT_FALSE(s.resized);
-  EXPECT_EQ(cache.capacity_mb(), 4096u);
+  EXPECT_EQ(pool.capacity_mb(), 4096u);
 }
 
 TEST(Provisioner, RespectsMinMaxClamp) {
+  SimRuntime rt;
   LruPolicy policy;
-  KeepAliveCache cache(policy, {.capacity_mb = 2048},
-                       {lookbusy(secs(1), 100, secs(1))});
+  ContainerPool pool(rt, policy, {.capacity_mb = 2048}, nullptr);
   ProvisionerConfig cfg;
   cfg.initial_capacity_mb = 2048;
   cfg.min_capacity_mb = 1024;
   cfg.max_capacity_mb = 4096;
   cfg.target_miss_rate = 1000.0;  // never reached -> always shrink
   cfg.interval = mins(1);
-  Provisioner prov(cache, cfg);
+  Provisioner prov(pool, cfg);
   prov.maybe_adjust(mins(600));
-  EXPECT_EQ(cache.capacity_mb(), 1024u);
+  EXPECT_EQ(pool.capacity_mb(), 1024u);
 }
 
 TEST(Provisioner, SamplesRecordTimeseries) {
+  SimRuntime rt;
   LruPolicy policy;
-  KeepAliveCache cache(policy, {.capacity_mb = 2048},
-                       {lookbusy(secs(1), 100, secs(1))});
+  ContainerPool pool(rt, policy, {.capacity_mb = 2048}, nullptr);
   ProvisionerConfig cfg;
   cfg.interval = mins(2);
   cfg.initial_capacity_mb = 2048;
-  Provisioner prov(cache, cfg);
+  Provisioner prov(pool, cfg);
   prov.maybe_adjust(mins(10));
   EXPECT_EQ(prov.samples().size(), 5u);
   EXPECT_EQ(prov.samples()[0].at, mins(2));
@@ -109,9 +109,9 @@ TEST(DynamicProvisioning, EndToEndReducesAverageCapacity) {
   EXPECT_GT(r.stats.invocations, 0u);
 }
 
-TEST(Provisioner, DrivesWorkerPoolThroughCapacityTarget) {
+TEST(Provisioner, DrivesLiveWorkerPool) {
   // The controller can resize a *live worker's* container pool, not just
-  // the lean cache: vertical scaling on the full control plane.
+  // a trace replay's: vertical scaling on the full control plane.
   SimRuntime rt;
   WorkerConfig wcfg;
   wcfg.cores = 8;
@@ -125,8 +125,7 @@ TEST(Provisioner, DrivesWorkerPoolThroughCapacityTarget) {
   cfg.target_miss_rate = 10.0;  // unreachable -> controller shrinks
   cfg.interval = mins(1);
   cfg.min_capacity_mb = 512;
-  CapacityOf<ContainerPool> target(w.pool());
-  Provisioner prov(target, cfg);
+  Provisioner prov(w.pool(), cfg);
   EXPECT_EQ(w.pool().capacity_mb(), 8192u);
 
   bool done = false;

@@ -99,6 +99,30 @@ TEST(WorkerIntegration, HistPolicyOnWorkerExpiresAndServes) {
   EXPECT_GT(warm_late, 0);
 }
 
+TEST(WorkerIntegration, HistStopsPrewarmingAFunctionThatWentQuiet) {
+  // Eight arrivals on a 10-minute cadence, then ten idle hours. HIST
+  // prewarms once for the arrival it predicts; when that container expires
+  // unused, nothing may ask for another one.
+  WorkerConfig cfg = small_cfg();
+  cfg.keepalive_policy = "HIST";
+  SimRuntime rt;
+  Worker w(rt, cfg);
+  auto fn = w.register_function(pyaes());
+  w.start();
+  int done = 0;
+  for (int i = 0; i < 8; ++i) {
+    rt.schedule(mins(10.0 * i), [&] {
+      w.invoke(fn, [&](const InvokeResult&) { ++done; });
+    });
+  }
+  rt.run_until(mins(70));  // the last arrival
+  std::uint64_t before = w.prewarms();
+  rt.run_for(mins(600));
+  w.shutdown();
+  EXPECT_EQ(done, 8);
+  EXPECT_LE(w.prewarms() - before, 1u);
+}
+
 TEST(WorkerIntegration, EnergyMeterTracksWorkerLoad) {
   SimRuntime rt;
   Worker w(rt, small_cfg());

@@ -66,6 +66,11 @@ echo "==> [sync-gates] ctest -L sharded"
 echo "==> [sync-gates] cluster_scaling --shards 2 --placement locality"
 "$root/werror/bench/cluster_scaling" --shards 2 --placement locality || exit 1
 
+# 1c. Reproduction tier: the keep-alive figures regenerate byte for byte
+#     into the committed results/ CSVs.
+echo "==> [repro] ctest -L repro"
+(cd "$root/werror" && ctest -L repro -j "$jobs" --output-on-failure) || exit 1
+
 # 2. Debug ownership auditor over the full suite: every cross-thread access
 #    in any test would abort here.
 run_config debug-checks -DCMAKE_BUILD_TYPE=Debug -DILU_DEBUG_CHECKS=ON
