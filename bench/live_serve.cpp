@@ -57,8 +57,7 @@ constexpr std::size_t kFunctions = 64;
 /// A worker provisioned so the *control plane* is the bottleneck under
 /// load, not the modeled machine: the paper's overhead claims are about the
 /// invoke path, so the sweep gives the modeled executor ample cores/memory
-/// and turns span tracing off (the flight recorder stays on — it is the
-/// always-on layer).
+/// (the flight recorder stays on — it is the always-on layer).
 WorkerConfig live_worker_config() {
   WorkerConfig cfg;
   cfg.name = "live";
@@ -69,7 +68,6 @@ WorkerConfig live_worker_config() {
   cfg.bypass_load_limit = 64.0;
   cfg.netns.target_size = 2048;
   cfg.netns.low_watermark = 512;
-  cfg.tracing = false;
   cfg.predictive_prewarm = false;
   return cfg;
 }

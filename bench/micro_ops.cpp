@@ -249,7 +249,6 @@ void BM_WorkerWarmInvocationPath(benchmark::State& state) {
   cfg.memory_mb = 8 * 1024;
   cfg.latencies = ControlPlaneLatencies{};  // all-zero models
   cfg.backend = BackendLatencyProfile::null_backend();
-  cfg.tracing = false;
   cfg.pool.sweep_interval = Duration::zero();
   Worker w(rt, cfg);
   auto fn = w.register_function(lookbusy(usecs(1), 64, usecs(1)));

@@ -1,11 +1,11 @@
-// Observability overhead: cost of the transaction-scoped tracer + metrics
+// Observability overhead: cost of the always-on flight recorder + metrics
 // on the worker's warm invocation hot path.
 //
-// The paper ships tracing off by default because the disabled path must be
-// free; this bench measures (a) wall-clock cost per simulated warm
-// invocation with tracing disabled vs enabled, and (b) the microsecond-level
-// cost of a single tracer record / metric update. Results go to
-// results/obs_overhead.json.
+// The worker stamps its milestones and its Table 1 stages into the flight
+// recorder; this bench measures (a) wall-clock cost per simulated warm
+// invocation with the recorder disabled vs enabled, and (b) the
+// nanosecond-level cost of a single flight record / histogram observe.
+// Results go to results/obs_overhead.json.
 
 #include <algorithm>
 #include <chrono>
@@ -26,13 +26,15 @@ double wall_us(Clock::time_point a, Clock::time_point b) {
 }
 
 /// Wall-clock microseconds per warm invocation of the full worker pipeline
-/// under SimRuntime (virtual time, so all cost is control-plane code).
-double us_per_warm_invoke(bool tracing, int runs) {
+/// under SimRuntime (virtual time, so all cost is control-plane code), with
+/// the process-wide flight recorder on or off.
+double us_per_warm_invoke(bool recording, int runs) {
+  flight::Recorder& recorder = flight::Recorder::instance();
+  recorder.set_enabled(recording);
   SimRuntime rt;
   WorkerConfig cfg;
   cfg.cores = 48.0;
   cfg.memory_mb = 16 * 1024;
-  cfg.tracing = tracing;
   Worker w(rt, cfg);
   auto fn = w.register_function(pyaes());
   w.start();
@@ -54,33 +56,8 @@ double us_per_warm_invoke(bool tracing, int runs) {
   while (completed < runs) rt.run_for(secs(5));
   auto t1 = Clock::now();
   w.shutdown();
+  recorder.set_enabled(true);
   return wall_us(t0, t1) / runs;
-}
-
-/// Nanoseconds per TransactionTracer::record call.
-double ns_per_record(bool enabled, int iters) {
-  TransactionTracer t(enabled);
-  TransactionId tx = t.begin_transaction();
-  auto t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
-    t.record(tx, "bench_span", usecs(i), usecs(1));
-  }
-  auto t1 = Clock::now();
-  return wall_us(t0, t1) * 1e3 / iters;
-}
-
-/// Nanoseconds per counter-inc + histogram-observe pair.
-double ns_per_metric_update(int iters) {
-  MetricsRegistry reg;
-  Counter* c = reg.counter("bench.counter");
-  Histogram* h = reg.histogram("bench.hist", 1.0, 64);
-  auto t0 = Clock::now();
-  for (int i = 0; i < iters; ++i) {
-    c->inc();
-    h->observe(static_cast<double>(i % 50));
-  }
-  auto t1 = Clock::now();
-  return wall_us(t0, t1) * 1e3 / iters;
 }
 
 /// Nanoseconds per flight-recorder record() on this thread's ring. The
@@ -132,16 +109,12 @@ constexpr double kDisabledBudgetNs = 5.0;
 }  // namespace
 
 int main() {
-  banner("Observability overhead — tracing off vs on, warm hot path");
+  banner("Observability overhead — flight recorder off vs on, warm hot path");
 
   constexpr int kRuns = 2000;
-  // Interleave off/on and take medians so CPU frequency drift does not bias
-  // one side of the comparison.
+  // Medians of 5 runs per side damp scheduling noise.
   double off_us = median_of_5(us_per_warm_invoke, false, kRuns);
   double on_us = median_of_5(us_per_warm_invoke, true, kRuns);
-  double rec_on_ns = ns_per_record(true, 200000);
-  double rec_off_ns = ns_per_record(false, 200000);
-  double metric_ns = ns_per_metric_update(200000);
   double flight_on_ns = median_of_5(ns_per_flight_event, true, 1000000);
   double flight_off_ns = median_of_5(ns_per_flight_event, false, 1000000);
   double log_hist_ns = median_of_5_int(ns_per_log_hist_record, 1000000);
@@ -149,31 +122,23 @@ int main() {
   double delta_pct = off_us > 0.0 ? (on_us - off_us) / off_us * 100.0 : 0.0;
 
   std::printf("%-44s %10.2f us\n",
-              "warm invocation, tracing disabled (median)", off_us);
+              "warm invocation, recorder disabled (median)", off_us);
   std::printf("%-44s %10.2f us\n",
-              "warm invocation, tracing enabled  (median)", on_us);
-  std::printf("%-44s %+9.1f %%\n", "tracing-enabled delta", delta_pct);
-  std::printf("%-44s %10.1f ns\n", "tracer record() (enabled)", rec_on_ns);
-  std::printf("%-44s %10.1f ns\n", "tracer record() (disabled)", rec_off_ns);
-  std::printf("%-44s %10.1f ns\n", "counter inc + histogram observe",
-              metric_ns);
+              "warm invocation, recorder enabled  (median)", on_us);
+  std::printf("%-44s %+9.1f %%\n", "recorder-enabled delta", delta_pct);
   std::printf("%-44s %10.1f ns\n", "flight record() (enabled)", flight_on_ns);
   std::printf("%-44s %10.1f ns\n", "flight record() (disabled)",
               flight_off_ns);
   std::printf("%-44s %10.1f ns\n", "log-histogram observe()", log_hist_ns);
   std::printf(
-      "\nThe disabled path is a single relaxed atomic load; the full worker\n"
-      "pipeline with tracing off must match the pre-observability seed\n"
-      "within measurement noise.\n");
+      "\nThe disabled path is a single relaxed atomic load; a warm\n"
+      "invocation writes 18 flight records (5 milestones + 13 stages).\n");
 
   JsonObject o;
   o["runs_per_sample"] = kRuns;
-  o["warm_invoke_us_tracing_off"] = off_us;
-  o["warm_invoke_us_tracing_on"] = on_us;
-  o["tracing_on_delta_pct"] = delta_pct;
-  o["record_ns_enabled"] = rec_on_ns;
-  o["record_ns_disabled"] = rec_off_ns;
-  o["metric_update_ns"] = metric_ns;
+  o["warm_invoke_us_recorder_off"] = off_us;
+  o["warm_invoke_us_recorder_on"] = on_us;
+  o["recorder_on_delta_pct"] = delta_pct;
   o["flight_record_ns_enabled"] = flight_on_ns;
   o["flight_record_ns_disabled"] = flight_off_ns;
   o["log_hist_observe_ns"] = log_hist_ns;

@@ -682,7 +682,6 @@ LiveEngineTiming live_engine_timing(bool smoke) {
     cfg.bypass_load_limit = 64.0;
     cfg.netns.target_size = 2048;
     cfg.netns.low_watermark = 512;
-    cfg.tracing = false;
     cfg.predictive_prewarm = false;
     Worker w(rt, cfg);
     std::vector<SyntheticFunctionSpec> specs;

@@ -2,11 +2,13 @@
 // invocation, grouped as in the paper (Ingestion & Queuing / Container
 // Operations / Agent Communication / Returning).
 //
-// Besides the table itself (stdout + results/tab1_components.csv), this
-// dumps the raw transaction-scoped spans as a Chrome trace
-// (results/tab1_trace.json — the table can be regenerated from it with
+// The worker stamps every stage into the flight recorder; the table is the
+// per-stage mean over those records. Besides the table itself (stdout +
+// results/tab1_components.csv), this writes the flight dump
+// (results/tab1_flight.bin — the table can be regenerated from it with
 // `trace_tool tab1`, see EXPERIMENTS.md) and the worker's metric snapshot
-// (results/tab1_metrics.json).
+// (results/tab1_metrics.json). Exits 1 if a flight ring wrapped, since the
+// means would then miss the oldest invocations.
 
 #include "bench_util.hpp"
 
@@ -27,7 +29,8 @@ int main() {
   bool done = false;
   w.invoke(fn, [&](const InvokeResult&) { done = true; });
   while (!done) rt.run_for(secs(1));
-  w.tracer().clear();
+  flight::Recorder& recorder = flight::Recorder::instance();
+  recorder.clear();
 
   int completed = 0;
   std::function<void(int)> chain = [&](int remaining) {
@@ -42,31 +45,45 @@ int main() {
   while (completed < kWarmRuns) rt.run_for(secs(5));
   w.shutdown();
 
-  // Raw span dump + metrics snapshot (before the table, which reads the
-  // same tracer aggregates).
-  write_chrome_trace(w.tracer().spans(), results_dir() + "/tab1_trace.json");
+  const flight::StageTotals stages =
+      flight::fold_stages(recorder.snapshot_all());
+  if (stages.wrapped) {
+    std::fprintf(stderr,
+                 "tab1_components: a flight ring wrapped; the stage means "
+                 "would miss the oldest invocations\n");
+    return 1;
+  }
+  // Raw flight dump + metrics snapshot (the dump holds the records the
+  // table is folded from).
+  const std::string dump_path = results_dir() + "/tab1_flight.bin";
+  if (!recorder.dump_to_file(dump_path)) {
+    std::fprintf(stderr, "tab1_components: cannot write %s\n",
+                 dump_path.c_str());
+    return 1;
+  }
   write_metrics_json(w.metrics().snapshot(),
                      results_dir() + "/tab1_metrics.json");
 
+  using flight::Ev;
   struct Row {
     const char* group;
-    const char* span;
+    Ev stage;
     double paper_ms;
   };
   const Row rows[] = {
-      {"Ingestion & Queuing", spans::kInvoke, 0.026},
-      {"Ingestion & Queuing", spans::kSyncInvoke, 0.013},
-      {"Ingestion & Queuing", spans::kEnqueueInvocation, 0.017},
-      {"Ingestion & Queuing", spans::kAddItemToQ, 0.020},
-      {"Container Operations", spans::kSpawnWorker, 0.029},
-      {"Container Operations", spans::kDequeue, 0.020},
-      {"Container Operations", spans::kAcquireContainer, 0.096},
-      {"Container Operations", spans::kTryLockContainer, 0.014},
-      {"Agent Communication", spans::kPrepareInvoke, 0.154},
-      {"Agent Communication", spans::kCallContainer, 1.364},
-      {"Agent Communication", spans::kDownloadResult, 0.032},
-      {"Returning", spans::kReturnContainer, 0.017},
-      {"Returning", spans::kReturnResults, 0.266},
+      {"Ingestion & Queuing", Ev::kStageInvoke, 0.026},
+      {"Ingestion & Queuing", Ev::kStageSyncInvoke, 0.013},
+      {"Ingestion & Queuing", Ev::kStageEnqueueInvocation, 0.017},
+      {"Ingestion & Queuing", Ev::kStageAddItemToQ, 0.020},
+      {"Container Operations", Ev::kStageSpawnWorker, 0.029},
+      {"Container Operations", Ev::kStageDequeue, 0.020},
+      {"Container Operations", Ev::kStageAcquireContainer, 0.096},
+      {"Container Operations", Ev::kStageTryLockContainer, 0.014},
+      {"Agent Communication", Ev::kStagePrepareInvoke, 0.154},
+      {"Agent Communication", Ev::kStageCallContainer, 1.364},
+      {"Agent Communication", Ev::kStageDownloadResult, 0.032},
+      {"Returning", Ev::kStageReturnContainer, 0.017},
+      {"Returning", Ev::kStageReturnResults, 0.266},
   };
 
   banner("Table 1 — per-component worker latency, single warm invocation");
@@ -76,12 +93,13 @@ int main() {
   csv.row("group", "span", "measured_ms", "paper_ms");
   double total = 0.0, paper_total = 0.0;
   for (const auto& r : rows) {
-    double ms = w.tracer().mean_ms(r.span);
+    const char* name = flight::ev_name(r.stage);
+    double ms = stages.mean_ms(r.stage);
     total += ms;
     paper_total += r.paper_ms;
-    std::printf("%-22s %-20s %12.3f %12.3f\n", r.group, r.span, ms,
+    std::printf("%-22s %-20s %12.3f %12.3f\n", r.group, name, ms,
                 r.paper_ms);
-    csv.row(r.group, r.span, ms, r.paper_ms);
+    csv.row(r.group, name, ms, r.paper_ms);
   }
   std::printf("%-22s %-20s %12.3f %12.3f\n", "TOTAL", "", total, paper_total);
   return 0;

@@ -4,16 +4,17 @@
 // workload on both and compares the outcomes: same warm/cold behaviour,
 // same code path — only the clock differs.
 //
-// The in-silico run additionally exports its transaction-scoped span trees
-// as a Chrome trace (results/insitu_trace.json) — load it in Perfetto or
+// The in-silico run additionally exports its flight records as a Chrome
+// trace (results/insitu_trace.json) — load it in Perfetto or
 // chrome://tracing to see every invocation's control-plane stages laid out
-// on the virtual timeline.
+// as slices on the virtual timeline.
 //
 //   ./insitu_simulation
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <thread>
 
 #include "iluvatar.hpp"
@@ -38,6 +39,8 @@ WorkerConfig config() {
 }
 
 Outcome run_sim() {
+  flight::Recorder& recorder = flight::Recorder::instance();
+  recorder.clear();
   SimRuntime rt;
   Worker w(rt, config());
   auto fn = w.register_function(lookbusy(msecs(20), 128, msecs(100)));
@@ -56,7 +59,8 @@ Outcome run_sim() {
   while (done < 50) rt.run_for(secs(1));
   w.shutdown();
   std::filesystem::create_directories("results");
-  write_chrome_trace(w.tracer().spans(), "results/insitu_trace.json");
+  std::ofstream("results/insitu_trace.json")
+      << flight::chrome_trace_json(recorder.snapshot_all()) << "\n";
   return {w.warm_starts(), w.cold_starts(), overhead.mean(),
           to_sec(rt.now())};
 }
@@ -110,7 +114,7 @@ int main() {
       "real system\".\n",
       real.wall_seconds);
   std::printf(
-      "\nSpan trees of the in-silico run: results/insitu_trace.json "
+      "\nFlight records of the in-silico run: results/insitu_trace.json "
       "(Chrome\ntrace format — open in Perfetto / chrome://tracing).\n");
   return 0;
 }

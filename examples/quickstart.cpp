@@ -1,6 +1,7 @@
 // Quickstart: stand up an Ilúvatar worker on the deterministic simulation
 // runtime, register a function, and exercise the full API surface —
-// invoke (cold + warm), prewarm, async_invoke, status, and span tracing.
+// invoke (cold + warm), prewarm, async_invoke, status, and the per-stage
+// latencies the worker stamps into the flight recorder.
 //
 //   ./quickstart
 
@@ -78,10 +79,15 @@ int main() {
               (unsigned long long)worker.cold_starts(),
               (unsigned long long)worker.prewarms());
 
-  std::printf("\nper-span mean latencies (Table 1 style):\n");
-  for (const auto& [name, summary] : worker.tracer().all()) {
-    std::printf("  %-22s %8.3f ms  (n=%zu)\n", name.c_str(), summary.mean(),
-                summary.count());
+  std::printf("\nper-stage mean latencies (Table 1 style):\n");
+  const flight::StageTotals stages =
+      flight::fold_stages(flight::Recorder::instance().snapshot_all());
+  for (std::size_t i = 0; i < flight::kStageCount; ++i) {
+    auto stage = static_cast<flight::Ev>(
+        static_cast<std::size_t>(flight::Ev::kStageInvoke) + i);
+    std::printf("  %-22s %8.3f ms  (n=%llu)\n", flight::ev_name(stage),
+                stages.mean_ms(stage),
+                static_cast<unsigned long long>(stages.count_of(stage)));
   }
 
   worker.shutdown();

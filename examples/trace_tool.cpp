@@ -2,19 +2,19 @@
 //
 //   ./trace_tool gen        <prefix> [rep|rare|random] [n] [target_rps] [hours]
 //   ./trace_tool info       <prefix | arena-file>
-//   ./trace_tool replay     <prefix> [--trace-out <file>] [--flight-out <file>]
-//   ./trace_tool tab1       <dump.json>
+//   ./trace_tool replay     <prefix> [--flight-out <file>]
+//   ./trace_tool tab1       <dump.bin>
 //   ./trace_tool flightdump <dump.bin> [--out <chrome.json>]
 //
 // `gen` writes <prefix>_functions.csv and <prefix>_events.csv (replayable
 // by faas_sim and the library's load_trace()); `info` prints statistics of
 // a saved trace (auto-detecting ilu-arena-v1 binary arenas, which it also
-// integrity-checks); `replay` runs the trace through a simulated worker and can
-// dump the transaction-scoped span trees as a Chrome trace and the flight
-// recorder's binary event rings; `tab1` recomputes the Table 1
-// per-component latency view from such a dump; `flightdump` decodes a
-// binary flight dump (from `replay --flight-out` or a crash) into a
-// per-ring summary and optionally Chrome trace-event JSON.
+// integrity-checks); `replay` runs the trace through a simulated worker and
+// can dump the flight recorder's binary event rings; `tab1` recomputes the
+// Table 1 per-component latency view from the worker stage records in such
+// a dump; `flightdump` decodes a binary flight dump (from `replay
+// --flight-out`, bench/tab1_components or a crash) into a per-ring summary
+// and optionally Chrome trace-event JSON.
 
 #include <cstdio>
 #include <cstdlib>
@@ -126,16 +126,9 @@ int cmd_info(char** argv) {
 
 int cmd_replay(int argc, char** argv) {
   std::string prefix = argv[2];
-  std::string trace_out;
   std::string flight_out;
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--trace-out requires a file argument\n");
-        return 2;
-      }
-      trace_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--flight-out") == 0) {
+    if (std::strcmp(argv[i], "--flight-out") == 0) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--flight-out requires a file argument\n");
         return 2;
@@ -176,14 +169,6 @@ int cmd_replay(int argc, char** argv) {
   report.add_all(driver.results());
   std::printf("%s", report.format().c_str());
 
-  if (!trace_out.empty()) {
-    auto spans = w.tracer().spans();
-    write_chrome_trace(spans, trace_out);
-    std::uint64_t dropped = w.tracer().tx().dropped_records();
-    std::printf("\nwrote %zu spans to %s (Chrome trace format)%s\n",
-                spans.size(), trace_out.c_str(),
-                dropped ? " — shard record cap reached, tail truncated" : "");
-  }
   if (!flight_out.empty()) {
     const auto& rec = flight::Recorder::instance();
     if (!rec.dump_to_file(flight_out)) {
@@ -248,62 +233,48 @@ int cmd_flightdump(int argc, char** argv) {
 }
 
 /// Regenerate the Table 1 view (mean latency per control-plane component)
-/// from a Chrome trace dump written by `replay --trace-out`,
-/// bench/tab1_components, or insitu_simulation.
+/// from the worker stage records in a flight dump written by `replay
+/// --flight-out` or bench/tab1_components.
 int cmd_tab1(char** argv) {
-  JsonValue doc = json_parse_file(argv[2]);
-  const JsonValue* events = doc.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    std::fprintf(stderr, "%s: no traceEvents array\n", argv[2]);
-    return 1;
-  }
-  std::map<std::string, Summary> by_name;
-  for (const JsonValue& e : events->as_array()) {
-    const JsonValue* name = e.find("name");
-    const JsonValue* dur = e.find("dur");
-    if (name == nullptr || dur == nullptr) continue;
-    by_name[name->as_string()].add(dur->as_number() / 1000.0);  // us -> ms
-  }
+  const flight::StageTotals stages =
+      flight::fold_stages(flight::read_dump(argv[2]));
 
+  using flight::Ev;
   struct Row {
     const char* group;
-    const char* span;
+    Ev stage;
   };
   const Row rows[] = {
-      {"Ingestion & Queuing", spans::kInvoke},
-      {"Ingestion & Queuing", spans::kSyncInvoke},
-      {"Ingestion & Queuing", spans::kEnqueueInvocation},
-      {"Ingestion & Queuing", spans::kAddItemToQ},
-      {"Container Operations", spans::kSpawnWorker},
-      {"Container Operations", spans::kDequeue},
-      {"Container Operations", spans::kAcquireContainer},
-      {"Container Operations", spans::kTryLockContainer},
-      {"Agent Communication", spans::kPrepareInvoke},
-      {"Agent Communication", spans::kCallContainer},
-      {"Agent Communication", spans::kDownloadResult},
-      {"Returning", spans::kReturnContainer},
-      {"Returning", spans::kReturnResults},
+      {"Ingestion & Queuing", Ev::kStageInvoke},
+      {"Ingestion & Queuing", Ev::kStageSyncInvoke},
+      {"Ingestion & Queuing", Ev::kStageEnqueueInvocation},
+      {"Ingestion & Queuing", Ev::kStageAddItemToQ},
+      {"Container Operations", Ev::kStageSpawnWorker},
+      {"Container Operations", Ev::kStageDequeue},
+      {"Container Operations", Ev::kStageAcquireContainer},
+      {"Container Operations", Ev::kStageTryLockContainer},
+      {"Agent Communication", Ev::kStagePrepareInvoke},
+      {"Agent Communication", Ev::kStageCallContainer},
+      {"Agent Communication", Ev::kStageDownloadResult},
+      {"Returning", Ev::kStageReturnContainer},
+      {"Returning", Ev::kStageReturnResults},
   };
   std::printf("Table 1 from %s\n", argv[2]);
   std::printf("%-22s %-20s %12s %10s\n", "Group", "Function", "mean ms",
               "count");
   double total = 0.0;
   for (const auto& r : rows) {
-    auto it = by_name.find(r.span);
-    if (it == by_name.end()) continue;
-    total += it->second.mean();
-    std::printf("%-22s %-20s %12.3f %10zu\n", r.group, r.span,
-                it->second.mean(), it->second.count());
+    std::uint64_t n = stages.count_of(r.stage);
+    if (n == 0) continue;
+    total += stages.mean_ms(r.stage);
+    std::printf("%-22s %-20s %12.3f %10llu\n", r.group,
+                flight::ev_name(r.stage), stages.mean_ms(r.stage),
+                static_cast<unsigned long long>(n));
   }
   std::printf("%-22s %-20s %12.3f\n", "TOTAL", "", total);
-  // Spans in the dump that are not Table 1 rows (e.g. from other layers).
-  for (const auto& [name, s] : by_name) {
-    bool known = false;
-    for (const auto& r : rows) known = known || name == r.span;
-    if (!known) {
-      std::printf("%-22s %-20s %12.3f %10zu\n", "(other)", name.c_str(),
-                  s.mean(), s.count());
-    }
+  if (stages.wrapped) {
+    std::printf("note: a flight ring wrapped; these means cover only the "
+                "records it still held\n");
   }
   return 0;
 }
@@ -321,8 +292,8 @@ int main(int argc, char** argv) try {
   std::fprintf(stderr,
                "usage:\n  %s gen <prefix> [rep|rare|random] [n] [target_rps] "
                "[hours]\n  %s info <prefix>\n  %s replay <prefix> "
-               "[--trace-out <file>] [--flight-out <file>]\n  %s tab1 "
-               "<dump.json>\n  %s flightdump <dump.bin> [--out <chrome.json>]\n",
+               "[--flight-out <file>]\n  %s tab1 <dump.bin>\n  %s "
+               "flightdump <dump.bin> [--out <chrome.json>]\n",
                argv[0], argv[0], argv[0], argv[0], argv[0]);
   return 2;
 } catch (const std::exception& e) {

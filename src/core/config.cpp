@@ -39,7 +39,6 @@ WorkerConfig worker_config_from_json(const JsonValue& v) {
       "sweep_interval_ms", to_ms(cfg.pool.sweep_interval)));
   cfg.create_retries = static_cast<int>(
       v.number_or("create_retries", cfg.create_retries));
-  cfg.tracing = v.bool_or("tracing", cfg.tracing);
   cfg.seed = static_cast<std::uint64_t>(
       v.number_or("seed", static_cast<double>(cfg.seed)));
   // Validate enums eagerly so a bad config fails at load time, not at the
@@ -99,7 +98,6 @@ JsonValue worker_config_to_json(const WorkerConfig& cfg) {
   o["free_buffer_mb"] = static_cast<double>(cfg.pool.free_buffer_mb);
   o["sweep_interval_ms"] = to_ms(cfg.pool.sweep_interval);
   o["create_retries"] = cfg.create_retries;
-  o["tracing"] = cfg.tracing;
   o["seed"] = static_cast<double>(cfg.seed);
   return JsonValue(std::move(o));
 }

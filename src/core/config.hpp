@@ -21,8 +21,7 @@
 ///     "bypass_ms": 0, "bypass_load_limit": 1.0,
 ///     "backend": "containerd" | "docker" | "crun" | "null",
 ///     "netns_pool_size": 32, "free_buffer_mb": 2048,
-///     "sweep_interval_ms": 500, "create_retries": 2,
-///     "tracing": true, "seed": 42 }
+///     "sweep_interval_ms": 500, "create_retries": 2, "seed": 42 }
 ///
 /// OpenWhisk schema:
 ///   { "cores": 48, "memory_mb": 49152, "keepalive_policy": "TTL",

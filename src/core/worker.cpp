@@ -1,9 +1,10 @@
 #include "core/worker.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "keepalive/policy.hpp"
-#include "obs/flight.hpp"
 #include "util/log.hpp"
 
 namespace ilu {
@@ -65,7 +66,6 @@ Worker::Worker(Runtime& rt, WorkerConfig cfg)
       q_policy_(make_queue_policy(cfg_.queue_policy)),
       queue_(*q_policy_, chars_),
       regulator_(cfg_.regulator) {
-  tracer_ = SpanTracer(cfg_.tracing);
   ins_.invocations = metrics_.counter("worker.invocations");
   ins_.completed = metrics_.counter("worker.completed");
   ins_.warm = metrics_.counter("worker.warm_starts");
@@ -149,15 +149,14 @@ double Worker::cp_scale() const {
   return 1.0 + cfg_.cp_contention_factor * over;
 }
 
-Duration Worker::span(Pending& p, const char* name, const LatencyModel& model,
+Duration Worker::span(flight::Ev stage, const LatencyModel& model,
                       Duration offset) {
   Duration d = model.sample(rng_);
   d = Duration{static_cast<std::int64_t>(
       static_cast<double>(d.count()) * cp_scale())};
-  // The first span of the transaction (kInvoke) becomes the root of the
-  // invocation's span tree; every later stage hangs off it.
-  SpanId id = tracer_.record_tx(p.tx, name, rt_.now() + offset, d, p.root);
-  if (p.root == kNoSpan) p.root = id;
+  flight::record(rt_.now() + offset, stage,
+                 static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+                     d.count(), 0, std::numeric_limits<std::uint32_t>::max())));
   return d;
 }
 
@@ -170,7 +169,6 @@ void Worker::invoke(FunctionId fn, InvokeCb cb) {
   rec.fn = fn;
   rec.submitted = rt_.now();
   rec.cb = std::move(cb);
-  rec.tx = tracer_.begin_transaction();
   flight::record(rec.submitted, flight::Ev::kInvokeArrival, fn);
   ins_.invocations->inc();
   chars_.on_arrival(fn, rec.submitted);
@@ -178,13 +176,14 @@ void Worker::invoke(FunctionId fn, InvokeCb cb) {
   // histograms from this, independent of cache contents).
   ka_policy_->on_invocation(fn, rec.submitted);
 
-  // Ingestion spans (Table 1 group 1), laid out back to back in time.
+  // Ingestion stages (Table 1 group 1), laid out back to back in time.
+  using flight::Ev;
   const auto& L = cfg_.latencies;
   Duration ingest{};
-  ingest += span(rec, spans::kInvoke, L.invoke, ingest);
-  ingest += span(rec, spans::kSyncInvoke, L.sync_invoke, ingest);
-  ingest += span(rec, spans::kEnqueueInvocation, L.enqueue_invocation, ingest);
-  ingest += span(rec, spans::kAddItemToQ, L.add_item_to_q, ingest);
+  ingest += span(Ev::kStageInvoke, L.invoke, ingest);
+  ingest += span(Ev::kStageSyncInvoke, L.sync_invoke, ingest);
+  ingest += span(Ev::kStageEnqueueInvocation, L.enqueue_invocation, ingest);
+  ingest += span(Ev::kStageAddItemToQ, L.add_item_to_q, ingest);
   rec.pre_overhead = ingest;
   rt_.schedule(ingest, [this, p] { enqueue(p); });
 }
@@ -244,15 +243,16 @@ void Worker::pump() {
 }
 
 void Worker::dispatch(PendingHandle p) {
+  using flight::Ev;
   const auto& L = cfg_.latencies;
   Pending& rec = pending_.get(p);
   Duration d{};
-  d += span(rec, spans::kSpawnWorker, L.spawn_worker, d);
-  d += span(rec, spans::kDequeue, L.dequeue, d);
-  d += span(rec, spans::kAcquireContainer, L.acquire_container, d);
+  d += span(Ev::kStageSpawnWorker, L.spawn_worker, d);
+  d += span(Ev::kStageDequeue, L.dequeue, d);
+  d += span(Ev::kStageAcquireContainer, L.acquire_container, d);
   ContainerHandle c = pool_.acquire(rec.fn, rt_.now());
   if (c.valid()) {
-    d += span(rec, spans::kTryLockContainer, L.try_lock_container, d);
+    d += span(Ev::kStageTryLockContainer, L.try_lock_container, d);
     rec.pre_overhead += d;
     rt_.schedule(d, [this, p, c] { launch_exec(p, c, /*cold=*/false); });
     return;
@@ -311,11 +311,12 @@ void Worker::cold_start(PendingHandle p) {
 }
 
 void Worker::launch_exec(PendingHandle p, ContainerHandle c, bool cold) {
+  using flight::Ev;
   const auto& L = cfg_.latencies;
   Pending& rec = pending_.get(p);
   Duration d{};
-  d += span(rec, spans::kPrepareInvoke, L.prepare_invoke, d);
-  d += span(rec, spans::kCallContainer, L.call_container, d);
+  d += span(Ev::kStagePrepareInvoke, L.prepare_invoke, d);
+  d += span(Ev::kStageCallContainer, L.call_container, d);
   Container& cc = pool_.get(c);
   if (!cc.http_client_cached) {
     // First call to this container: HTTP client setup (§4.3.1).
@@ -338,12 +339,12 @@ void Worker::launch_exec(PendingHandle p, ContainerHandle c, bool cold) {
 
 void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
                     Duration actual_exec) {
+  using flight::Ev;
   const auto& L = cfg_.latencies;
-  Pending& rec = pending_.get(p);
   Duration d{};
-  d += span(rec, spans::kDownloadResult, L.download_result, d);
-  d += span(rec, spans::kReturnContainer, L.return_container, d);
-  d += span(rec, spans::kReturnResults, L.return_results, d);
+  d += span(Ev::kStageDownloadResult, L.download_result, d);
+  d += span(Ev::kStageReturnContainer, L.return_container, d);
+  d += span(Ev::kStageReturnResults, L.return_results, d);
   rt_.schedule(d, [this, p, c, cold, ok, actual_exec] {
     pool_.return_container(c, rt_.now());
     --running_;

@@ -12,8 +12,8 @@
 #include "containers/netns_pool.hpp"
 #include "common/characteristics.hpp"
 #include "containers/cpu_model.hpp"
-#include "core/span_tracer.hpp"
 #include "keepalive/pool.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "queueing/invocation_queue.hpp"
 #include "queueing/regulator.hpp"
@@ -26,7 +26,7 @@
 /// eviction, a netns pool, and a pluggable container backend.
 namespace ilu {
 
-/// Per-span latency models for the worker control plane, calibrated to the
+/// Per-stage latency models for the worker control plane, calibrated to the
 /// paper's Table 1 (values in ms for a single warm invocation). In
 /// simulation these model the cost of the real system's Rust control plane
 /// plus agent HTTP communication; the jitter shape is lognormal with a rare
@@ -83,7 +83,6 @@ struct WorkerConfig {
   /// Let prefetching keep-alive policies (HIST) schedule prewarms through
   /// the worker when their predictions fire.
   bool predictive_prewarm = true;
-  bool tracing = true;
   std::uint64_t seed = 42;
 };
 
@@ -142,7 +141,6 @@ class Worker {
   std::uint64_t prewarms() const { return prewarm_count_; }
 
   /// Component access for tests, benches, and research instrumentation.
-  SpanTracer& tracer() { return tracer_; }
   /// Live metrics (counters/gauges/histograms) for this worker: invocation
   /// counts, in-flight level, queue depth/wait, pool occupancy, overheads.
   MetricsRegistry& metrics() { return metrics_; }
@@ -163,10 +161,6 @@ class Worker {
     InvokeCb cb;
     bool bypassed = false;
     int create_attempts = 0;
-    /// Transaction-scoped tracing: every span of this invocation carries
-    /// `tx`; the first span recorded becomes the root of its span tree.
-    TransactionId tx = 0;
-    SpanId root = kNoSpan;
   };
   /// Generation-checked reference to an in-flight invocation in the pending
   /// slab (DESIGN.md §11); continuations capture this 8-byte value instead
@@ -181,11 +175,10 @@ class Worker {
   };
   using PendingStore = Slab<Pending, PendingHandle>;
 
-  /// Sample a span latency (scaled by current control-plane contention),
-  /// record it under p's transaction starting `offset` after now, and
-  /// return it. The first span recorded for p becomes its tree root;
-  /// subsequent ones are its children.
-  Duration span(Pending& p, const char* name, const LatencyModel& model,
+  /// Sample a stage latency (scaled by current control-plane contention),
+  /// stamp it into the flight recorder as a stage starting `offset` after
+  /// now, and return it.
+  Duration span(flight::Ev stage, const LatencyModel& model,
                 Duration offset = Duration::zero());
   double cp_scale() const;
 
@@ -207,7 +200,6 @@ class Worker {
 
   std::vector<FunctionProfile> functions_;
   CharacteristicsMap chars_;
-  SpanTracer tracer_;
   MetricsRegistry metrics_;
   /// Instruments resolved once at construction; hot-path updates are
   /// single relaxed atomics through these pointers.

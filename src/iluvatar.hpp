@@ -17,12 +17,12 @@
 ///              provisioning
 ///   queueing/  invocation queue disciplines (FCFS/SJF/EEDF/RARE),
 ///              concurrency regulator (fixed/AIMD), bypass
-///   obs/       observability: transaction-scoped span trees, the metrics
-///              registry (fixed-width + log-bucketed histograms), the
-///              always-on flight recorder, the telemetry time-series
+///   obs/       observability: the always-on flight recorder (which also
+///              carries the worker's Table 1 stages), the metrics registry
+///              (log-bucketed histograms), the telemetry time-series
 ///              sampler, and Chrome-trace/JSON exporters
-///   core/      the Ilúvatar worker and its substrates (CPU model, span
-///              tracer, function characteristics)
+///   core/      the Ilúvatar worker and its substrates (CPU model,
+///              function characteristics)
 ///   baseline/  the OpenWhisk behavioural model (and FaasCache, via its
 ///              keep-alive policy knob)
 ///   lb/        CH-BL consistent hashing with bounded loads + cluster
@@ -37,7 +37,6 @@
 #include "containers/netns_pool.hpp"
 #include "common/characteristics.hpp"
 #include "containers/cpu_model.hpp"
-#include "core/span_tracer.hpp"
 #include "core/energy.hpp"
 #include "core/worker.hpp"
 #include "exp/keepalive_sweep.hpp"
@@ -54,8 +53,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/span.hpp"
-#include "obs/tracer.hpp"
 #include "queueing/invocation_queue.hpp"
 #include "queueing/queue_policy.hpp"
 #include "queueing/regulator.hpp"

@@ -1,7 +1,5 @@
 #include "obs/export.hpp"
 
-#include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -9,73 +7,12 @@
 
 namespace ilu {
 
-JsonValue chrome_trace_value(const std::vector<SpanRecord>& spans, int pid) {
-  std::vector<const SpanRecord*> ordered;
-  ordered.reserve(spans.size());
-  for (const auto& s : spans) ordered.push_back(&s);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const SpanRecord* a, const SpanRecord* b) {
-              if (a->start != b->start) return a->start < b->start;
-              return a->id < b->id;
-            });
-
-  JsonArray events;
-  events.reserve(ordered.size());
-  for (const SpanRecord* s : ordered) {
-    JsonObject args;
-    args["tx"] = JsonValue(s->tx);
-    args["span"] = JsonValue(s->id);
-    args["parent"] = JsonValue(s->parent);
-    JsonObject ev;
-    ev["name"] = JsonValue(s->name);
-    ev["cat"] = JsonValue("control_plane");
-    ev["ph"] = JsonValue("X");
-    ev["ts"] = JsonValue(static_cast<std::int64_t>(s->start.count()));
-    ev["dur"] = JsonValue(static_cast<std::int64_t>(s->dur.count()));
-    ev["pid"] = JsonValue(pid);
-    ev["tid"] = JsonValue(static_cast<std::int64_t>(s->thread));
-    ev["args"] = JsonValue(std::move(args));
-    events.emplace_back(std::move(ev));
-  }
-  JsonObject doc;
-  doc["traceEvents"] = JsonValue(std::move(events));
-  doc["displayTimeUnit"] = JsonValue("ms");
-  return JsonValue(std::move(doc));
-}
-
-std::string chrome_trace_json(const std::vector<SpanRecord>& spans, int pid) {
-  return chrome_trace_value(spans, pid).dump();
-}
-
-void write_chrome_trace(const std::vector<SpanRecord>& spans,
-                        const std::string& path, int pid) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  out << chrome_trace_json(spans, pid) << "\n";
-}
-
 JsonValue metrics_json(const MetricsSnapshot& snap) {
   JsonObject counters;
   for (const auto& [name, v] : snap.counters) counters[name] = JsonValue(v);
   JsonObject gauges;
   for (const auto& [name, v] : snap.gauges) {
     gauges[name] = JsonValue(static_cast<std::int64_t>(v));
-  }
-  JsonObject histograms;
-  for (const auto& [name, h] : snap.histograms) {
-    JsonArray buckets;
-    buckets.reserve(h.buckets.size());
-    for (std::uint64_t b : h.buckets) buckets.emplace_back(b);
-    JsonObject hj;
-    hj["bucket_width"] = JsonValue(h.bucket_width);
-    hj["buckets"] = JsonValue(std::move(buckets));
-    hj["count"] = JsonValue(h.count);
-    hj["sum"] = JsonValue(h.sum);
-    hj["mean"] = JsonValue(h.mean);
-    hj["saturated"] = JsonValue(h.saturated);
-    hj["overflow_count"] = JsonValue(h.overflow_count);
-    hj["overflow_max"] = JsonValue(h.overflow_max);
-    histograms[name] = JsonValue(std::move(hj));
   }
   JsonObject log_histograms;
   for (const auto& [name, h] : snap.log_histograms) {
@@ -96,7 +33,6 @@ JsonValue metrics_json(const MetricsSnapshot& snap) {
   JsonObject doc;
   doc["counters"] = JsonValue(std::move(counters));
   doc["gauges"] = JsonValue(std::move(gauges));
-  doc["histograms"] = JsonValue(std::move(histograms));
   doc["log_histograms"] = JsonValue(std::move(log_histograms));
   return JsonValue(std::move(doc));
 }
@@ -116,13 +52,6 @@ void write_metrics_csv(const MetricsSnapshot& snap, const std::string& path) {
   for (const auto& [name, v] : snap.gauges) {
     w.row("gauge", name, "value", v);
   }
-  for (const auto& [name, h] : snap.histograms) {
-    w.row("histogram", name, "count", h.count);
-    w.row("histogram", name, "sum", h.sum);
-    w.row("histogram", name, "mean", h.mean);
-    w.row("histogram", name, "saturated", h.saturated ? 1 : 0);
-    w.row("histogram", name, "overflow_max", h.overflow_max);
-  }
   for (const auto& [name, h] : snap.log_histograms) {
     w.row("log_histogram", name, "count", h.count);
     w.row("log_histogram", name, "mean", h.mean);
@@ -134,42 +63,6 @@ void write_metrics_csv(const MetricsSnapshot& snap, const std::string& path) {
     w.row("log_histogram", name, "p999", h.p999);
     w.row("log_histogram", name, "saturated", h.saturated ? 1 : 0);
   }
-}
-
-StatusLineReporter::StatusLineReporter(Runtime& rt, Duration interval,
-                                       Render render, std::ostream* out)
-    : rt_(rt),
-      interval_(interval),
-      render_(std::move(render)),
-      out_(out) {}
-
-StatusLineReporter::~StatusLineReporter() { stop(); }
-
-void StatusLineReporter::start() {
-  if (running_ || interval_ <= Duration::zero() || !render_) return;
-  running_ = true;
-  timer_ = rt_.schedule(interval_, [this] { tick(); });
-}
-
-void StatusLineReporter::stop() {
-  running_ = false;
-  if (timer_ != Runtime::kInvalidTimer) {
-    rt_.cancel(timer_);
-    timer_ = Runtime::kInvalidTimer;
-  }
-}
-
-void StatusLineReporter::tick() {
-  timer_ = Runtime::kInvalidTimer;
-  if (!running_) return;
-  std::string line = render_();
-  ++emitted_;
-  if (out_ != nullptr) {
-    (*out_) << line << "\n";
-  } else {
-    std::fprintf(stderr, "%s\n", line.c_str());
-  }
-  if (running_) timer_ = rt_.schedule(interval_, [this] { tick(); });
 }
 
 }  // namespace ilu

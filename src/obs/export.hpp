@@ -1,70 +1,19 @@
 #pragma once
 
-#include <functional>
-#include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
-// ilu-lint: allow(include-layering) - timestamps come through the abstract Runtime clock so obs stays sim-deterministic; runtime/runtime.hpp is the interface header only (no scheduler), accepted inversion pending an obs-owned clock interface
-#include "runtime/runtime.hpp"
 #include "util/json.hpp"
 
-/// Exporters for the observability layer:
-///  - Chrome trace-event JSON for span trees (loadable in Perfetto or
-///    chrome://tracing): one complete ("ph":"X") event per span with ts/dur
-///    in microseconds, pid = the exporting process/worker, tid = the
-///    recording shard.
-///  - JSON / CSV snapshots of a MetricsRegistry.
-///  - A periodic status-line reporter for long simulations.
+/// Exporters for the metrics registry: JSON / CSV snapshots. (The flight
+/// recorder's Chrome trace export is `flight::chrome_trace_json`.)
 namespace ilu {
-
-/// Build the trace-event document. Events are sorted by ts so the output is
-/// monotonic regardless of shard merge order.
-JsonValue chrome_trace_value(const std::vector<SpanRecord>& spans,
-                             int pid = 0);
-std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
-                              int pid = 0);
-void write_chrome_trace(const std::vector<SpanRecord>& spans,
-                        const std::string& path, int pid = 0);
 
 /// Metrics snapshot serialization.
 JsonValue metrics_json(const MetricsSnapshot& snap);
 void write_metrics_json(const MetricsSnapshot& snap, const std::string& path);
-/// CSV rows: kind,name,value (histograms add count/mean/p50/p99 rows).
+/// CSV rows: kind,name,field,value (log histograms add count/mean/min/max/
+/// percentile rows).
 void write_metrics_csv(const MetricsSnapshot& snap, const std::string& path);
-
-/// Periodically renders a one-line status string and writes it to a sink
-/// (stderr by default) — live queue/pool/cache visibility during long
-/// simulations. Driven by the Runtime so it works under both virtual and
-/// wall-clock time; start()/stop() from the runtime's callback thread (or
-/// before/after the run), like the worker's own background timers.
-class StatusLineReporter {
- public:
-  using Render = std::function<std::string()>;
-
-  StatusLineReporter(Runtime& rt, Duration interval, Render render,
-                     std::ostream* out = nullptr);
-  ~StatusLineReporter();
-
-  StatusLineReporter(const StatusLineReporter&) = delete;
-  StatusLineReporter& operator=(const StatusLineReporter&) = delete;
-
-  void start();
-  void stop();
-  std::uint64_t emitted() const { return emitted_; }
-
- private:
-  void tick();
-
-  Runtime& rt_;
-  Duration interval_;
-  Render render_;
-  std::ostream* out_;
-  bool running_ = false;
-  Runtime::TimerId timer_ = Runtime::kInvalidTimer;
-  std::uint64_t emitted_ = 0;
-};
 
 }  // namespace ilu

@@ -30,6 +30,19 @@ const char* ev_name(Ev e) {
     case Ev::kSamplerTick: return "sampler_tick";
     case Ev::kMemoryPark: return "memory_park";
     case Ev::kReplayMilestone: return "replay_milestone";
+    case Ev::kStageInvoke: return "invoke";
+    case Ev::kStageSyncInvoke: return "sync_invoke";
+    case Ev::kStageEnqueueInvocation: return "enqueue_invocation";
+    case Ev::kStageAddItemToQ: return "add_item_to_q";
+    case Ev::kStageSpawnWorker: return "spawn_worker";
+    case Ev::kStageDequeue: return "dequeue";
+    case Ev::kStageAcquireContainer: return "acquire_container";
+    case Ev::kStageTryLockContainer: return "try_lock_container";
+    case Ev::kStagePrepareInvoke: return "prepare_invoke";
+    case Ev::kStageCallContainer: return "call_container";
+    case Ev::kStageDownloadResult: return "download_result";
+    case Ev::kStageReturnContainer: return "return_container";
+    case Ev::kStageReturnResults: return "return_results";
   }
   return "?";
 }
@@ -161,10 +174,9 @@ struct Recorder::ThreadRings {
 };
 
 Ring& Recorder::local_ring() {
-  // Same idiom as TransactionTracer::local_shard(): a uid-keyed
-  // thread_local cache so each (thread, recorder) pair resolves its ring
-  // with one hash probe after the first record, and rings owned by
-  // destroyed recorders are never mistaken for ours.
+  // A uid-keyed thread_local cache: each (thread, recorder) pair resolves
+  // its ring with one hash probe after the first record, and rings owned
+  // by destroyed recorders are never mistaken for ours.
   thread_local ThreadRings t_rings;
   auto it = t_rings.by_uid.find(uid_);
   if (it != t_rings.by_uid.end()) return *it->second.ring;
@@ -309,13 +321,40 @@ std::string chrome_trace_json(const std::vector<RingDump>& rings, int pid) {
   for (const Row& r : rows) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << ev_name(static_cast<Ev>(r.e.code))
-        << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << r.e.ts_us
-        << ",\"pid\":" << pid << ",\"tid\":" << r.e.tid
-        << ",\"args\":{\"arg\":" << r.e.arg << ",\"seq\":" << r.pos << "}}";
+    const auto code = static_cast<Ev>(r.e.code);
+    out << "{\"name\":\"" << ev_name(code) << "\",";
+    if (is_stage(code)) {
+      out << "\"ph\":\"X\",\"dur\":" << r.e.arg;
+    } else {
+      out << "\"ph\":\"i\",\"s\":\"t\"";
+    }
+    out << ",\"ts\":" << r.e.ts_us << ",\"pid\":" << pid
+        << ",\"tid\":" << r.e.tid << ",\"args\":{\"arg\":" << r.e.arg
+        << ",\"seq\":" << r.pos << "}}";
   }
   out << "],\"displayTimeUnit\":\"ms\"}";
   return out.str();
+}
+
+double StageTotals::mean_ms(Ev stage) const {
+  std::size_t i = stage_index(stage);
+  if (count[i] == 0) return 0.0;
+  return static_cast<double>(sum_us[i]) / 1000.0 /
+         static_cast<double>(count[i]);
+}
+
+StageTotals fold_stages(const std::vector<RingDump>& rings) {
+  StageTotals t;
+  for (const RingDump& r : rings) {
+    t.wrapped = t.wrapped || r.recorded > r.events.size();
+    for (const Event& e : r.events) {
+      const auto code = static_cast<Ev>(e.code);
+      if (!is_stage(code)) continue;
+      ++t.count[stage_index(code)];
+      t.sum_us[stage_index(code)] += e.arg;
+    }
+  }
+  return t;
 }
 
 }  // namespace ilu::flight

@@ -1,6 +1,7 @@
 #pragma once
 // ilu-lint: atomics-floor(relaxed) - per-ring head_ publishes slots with an explicit release store; slot words are relaxed behind it; enabled_ is a sampling hint
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -16,8 +17,9 @@
 ///
 /// A crash-safe, last-N-events trace of what the control plane was doing:
 /// every hot-path milestone (invoke arrival, queue enq/deq, container
-/// acquire / cold create, eviction, shard window barrier, ...) stamps one
-/// fixed-size 16-byte binary record into a per-thread lock-free SPSC ring.
+/// acquire / cold create, eviction, shard window barrier, ...) and every
+/// worker stage of Table 1 stamps one fixed-size 16-byte binary record into
+/// a per-thread lock-free SPSC ring.
 /// The writer is the owning thread; the only reader is a post-mortem or
 /// end-of-run drain. Recording is
 ///
@@ -55,7 +57,37 @@ enum class Ev : std::uint16_t {
   kSamplerTick = 12,     // arg = frame index
   kMemoryPark = 13,      // arg = function id (cold start parked on memory)
   kReplayMilestone = 14, // arg = percent of trace events submitted (0..100)
+  // Worker stages, one per Table 1 row and in Table 1 order: ts = stage
+  // start, arg = stage duration in µs (saturating at the u32 maximum).
+  kStageInvoke = 15,
+  kStageSyncInvoke = 16,
+  kStageEnqueueInvocation = 17,
+  kStageAddItemToQ = 18,
+  kStageSpawnWorker = 19,
+  kStageDequeue = 20,
+  kStageAcquireContainer = 21,
+  kStageTryLockContainer = 22,
+  kStagePrepareInvoke = 23,
+  kStageCallContainer = 24,
+  kStageDownloadResult = 25,
+  kStageReturnContainer = 26,
+  kStageReturnResults = 27,
 };
+
+/// True for the worker stage codes, whose arg is a duration.
+constexpr bool is_stage(Ev e) {
+  return e >= Ev::kStageInvoke && e <= Ev::kStageReturnResults;
+}
+
+/// Position of a stage code in Table 1 order (0 for kStageInvoke).
+constexpr std::size_t stage_index(Ev e) {
+  return static_cast<std::size_t>(e) -
+         static_cast<std::size_t>(Ev::kStageInvoke);
+}
+
+/// Number of worker stage codes (the 13 rows of Table 1).
+inline constexpr std::size_t kStageCount =
+    stage_index(Ev::kStageReturnResults) + 1;
 
 /// Human-readable name for an event code ("?" for unknown codes).
 const char* ev_name(Ev e);
@@ -237,10 +269,29 @@ std::vector<RingDump> decode(const std::string& bytes);
 std::vector<RingDump> read_dump(const std::string& path);
 
 /// Convert decoded rings to a Chrome trace-event JSON document string:
-/// one instant event ("ph":"i") per record, ts in µs, tid = ring id,
-/// name = ev_name(code), args = {"arg": arg, "seq": position}. Events are
-/// merged across rings and sorted by (ts, tid, position) so the output is
-/// stable for a given dump.
+/// one event per record, ts in µs, tid = ring id, name = ev_name(code),
+/// args = {"arg": arg, "seq": position}. Stage records are complete events
+/// ("ph":"X", dur = arg) so a trace viewer draws each stage as a slice;
+/// every other code is an instant event ("ph":"i"). Events are merged
+/// across rings and sorted by (ts, tid, position) so the output is stable
+/// for a given dump.
 std::string chrome_trace_json(const std::vector<RingDump>& rings, int pid = 0);
+
+/// Table 1 view of a set of rings: record count and summed duration per
+/// worker stage.
+struct StageTotals {
+  std::array<std::uint64_t, kStageCount> count{};
+  std::array<std::uint64_t, kStageCount> sum_us{};
+  /// Some ring overwrote records, so the totals miss its oldest stages.
+  bool wrapped = false;
+
+  std::uint64_t count_of(Ev stage) const { return count[stage_index(stage)]; }
+  /// Mean stage duration in ms (0 when the stage was never recorded).
+  double mean_ms(Ev stage) const;
+};
+
+/// Fold ring snapshots (`Recorder::snapshot_all()` of a live run, or
+/// `read_dump()` of a file) into per-stage totals.
+StageTotals fold_stages(const std::vector<RingDump>& rings);
 
 }  // namespace ilu::flight

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -10,8 +11,8 @@
 #include <string>
 #include <vector>
 
-/// Live metrics: thread-safe counters, gauges, and bucketed histograms with
-/// cheap relaxed-atomic updates, collected in a name-keyed registry.
+/// Live metrics: thread-safe counters, gauges, and log-bucketed histograms
+/// with cheap relaxed-atomic updates, collected in a name-keyed registry.
 ///
 /// Registration (looking an instrument up by name) takes a mutex and is a
 /// cold-path operation — components resolve their instruments once at wiring
@@ -22,12 +23,9 @@
 /// loads: values are individually coherent, not a consistent cut (fine for
 /// status lines and end-of-run dumps).
 ///
-/// Two histogram shapes:
-///   Histogram     fixed-width buckets — legacy; kept for instruments whose
-///                 range is genuinely known and narrow.
-///   LogHistogram  HDR-style log-bucketed (octave × subbucket) — the default
-///                 for latencies, honest p50/p99/p999 over µs→s with bounded
-///                 relative error and a deterministic merge (DESIGN.md §12).
+/// The histogram is LogHistogram: HDR-style log-bucketed (octave ×
+/// subbucket), honest p50/p99/p999 over µs→s with bounded relative error
+/// and a deterministic merge (DESIGN.md §12).
 namespace ilu {
 
 /// Monotonically increasing event count.
@@ -52,54 +50,6 @@ class Gauge {
   std::atomic<std::int64_t> v_{0};
 };
 
-/// Fixed-width bucketed histogram over [0, width * buckets); values past the
-/// end land in the final bucket, negatives in the first. Each observation is
-/// two relaxed atomic adds (bucket + sum) — no lock, no allocation.
-///
-/// Values at or past the nominal range additionally bump an overflow count
-/// and an exact overflow maximum, and mark the histogram `saturated` — so a
-/// high quantile landing in the final bucket reports the true observed max
-/// instead of silently flattening at the bucket upper bound.
-class Histogram {
- public:
-  Histogram(double bucket_width, std::size_t num_buckets);
-
-  void observe(double x);
-
-  double bucket_width() const { return width_; }
-  std::size_t num_buckets() const { return buckets_.size(); }
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const;
-  double mean() const;
-  /// Upper edge of the bucket containing quantile q (q in (0, 1]); 0 when
-  /// empty. When the target lands in the final bucket of a saturated
-  /// histogram, returns the exact overflow maximum.
-  double quantile_upper_bound(double q) const;
-
-  /// Observations at or past width * num_buckets.
-  std::uint64_t overflow_count() const {
-    return overflow_count_.load(std::memory_order_relaxed);
-  }
-  /// True when any observation exceeded the nominal range.
-  bool saturated() const { return overflow_count() > 0; }
-  /// Largest overflowing observation (0 when none).
-  double overflow_max() const;
-
- private:
-  double width_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  /// Sum in fixed-point (micro-units) so it can be a relaxed integer add.
-  std::atomic<std::int64_t> sum_micro_{0};
-  std::atomic<std::uint64_t> overflow_count_{0};
-  std::atomic<std::int64_t> overflow_max_micro_{0};
-};
-
 /// HDR-style log-bucketed histogram over [min_value, max_value): each
 /// power-of-two octave of the range is split into 2^subbucket_bits linear
 /// subbuckets, so the relative error of any quantile upper bound is at most
@@ -116,7 +66,9 @@ class Histogram {
 /// Exact observed min/max are kept via CAS so p0/p100 (and saturated p99s)
 /// are exact, not bucket edges. Values below min_value clamp into bucket 0;
 /// values at or past max_value are tracked as overflow with an exact max
-/// (`saturated()`), mirroring Histogram.
+/// (`saturated()`). Sums and extremes are kept in micro-units rounded to
+/// nearest, so an observation of a whole number of µs (in ms units) reads
+/// back exactly.
 ///
 /// merge() is a pure integer element-wise add (plus CAS min/max), hence
 /// commutative and associative: merging per-shard histograms yields the same
@@ -132,10 +84,10 @@ class LogHistogram {
                         unsigned subbucket_bits = 5);
 
   void observe(double x) {
+    const std::int64_t micro = std::llround(x * 1e6);
     count_.fetch_add(1, std::memory_order_relaxed);
-    sum_micro_.fetch_add(static_cast<std::int64_t>(x * 1e6),
-                         std::memory_order_relaxed);
-    update_extremes(static_cast<std::int64_t>(x * 1e6));
+    sum_micro_.fetch_add(micro, std::memory_order_relaxed);
+    update_extremes(micro);
     if (x >= max_) {
       // Overflow lives outside the bucket array so the percentile walk can
       // tell "past the range" apart from "in the top bucket".
@@ -219,16 +171,6 @@ class LogHistogram {
 
 /// Point-in-time copy of every instrument in a registry.
 struct MetricsSnapshot {
-  struct HistogramData {
-    double bucket_width = 0.0;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    bool saturated = false;
-    std::uint64_t overflow_count = 0;
-    double overflow_max = 0.0;
-  };
   /// Scalars only: the ~900 raw buckets stay on the live instrument; the
   /// snapshot carries the digested tail shape every exporter wants.
   struct LogHistogramData {
@@ -246,7 +188,6 @@ struct MetricsSnapshot {
   };
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, HistogramData> histograms;
   std::map<std::string, LogHistogramData> log_histograms;
 };
 
@@ -257,12 +198,10 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Find-or-create by name. Returned pointers remain valid until the
-  /// registry is destroyed. histogram()/log_histogram() with a name that
-  /// already exists returns the existing instrument (its geometry wins).
+  /// registry is destroyed. log_histogram() with a name that already exists
+  /// returns the existing instrument (its geometry wins).
   Counter* counter(const std::string& name);
   Gauge* gauge(const std::string& name);
-  Histogram* histogram(const std::string& name, double bucket_width,
-                       std::size_t num_buckets);
   LogHistogram* log_histogram(const std::string& name,
                               double min_value = LogHistogram::kDefaultMin,
                               double max_value = LogHistogram::kDefaultMax);
@@ -273,7 +212,6 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::unique_ptr<LogHistogram>> log_histograms_;
 };
 

@@ -17,9 +17,9 @@
 /// pool memory, events/s per shard — exported as CSV/JSON and rendered as a
 /// live status line during long `RealRuntime` / `ShardedRuntime` runs.
 ///
-/// The sampler is driven by the owning Runtime's timer queue (the
-/// StatusLineReporter pattern), so under virtual time the cadence is exact
-/// and deterministic, and under wall-clock time it ticks on the loop thread.
+/// The sampler is driven by the owning Runtime's timer queue, so under
+/// virtual time the cadence is exact and deterministic, and under
+/// wall-clock time it ticks on the loop thread.
 /// Every probe reads relaxed atomics (or takes the registry's snapshot
 /// mutex); sampling never mutates simulation state and never touches an
 /// RNG, which is what keeps an `ExperimentReport` byte-identical with

@@ -1,15 +1,14 @@
 #pragma once
 // ilu-lint: atomics-floor(acquire) - owner_ hand-off is a release-store/acquire-load pair; anything weaker loses the happens-before the auditor asserts
 
-#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 
 /// Debug-build invariant checking (DESIGN.md §10).
 ///
-/// ILU_DCHECK(cond, msg) aborts with a file:line + span-context message when
-/// `cond` is false; ILU_ASSERT_OWNER(rec, what) asserts the calling thread
-/// is the one recorded in an OwnerRecord. Both compile to nothing in
+/// ILU_DCHECK(cond, msg) aborts with a file:line message when `cond` is
+/// false; ILU_ASSERT_OWNER(rec, what) asserts the calling thread is the one
+/// recorded in an OwnerRecord. Both compile to nothing in
 /// Release builds (NDEBUG), so the event hot path pays zero cost there; a
 /// Debug build — or any build configured with -DILU_DEBUG_CHECKS=ON — turns
 /// cross-thread ownership violations into deterministic aborts instead of
@@ -37,12 +36,6 @@ namespace ilu {
 
 namespace detail {
 
-/// Optional context hook: fills `buf` with a short description of what the
-/// failing thread was doing (the obs layer registers the innermost open
-/// span). Set once at static-initialization time, before threads exist.
-using DcheckContextFn = void (*)(char* buf, std::size_t n);
-inline DcheckContextFn g_dcheck_context = nullptr;
-
 /// Optional pre-abort dump hook: runs once after the failure message is
 /// printed, before std::abort(). The flight recorder (obs/flight.cpp)
 /// registers a dump of every thread's last-N event ring here, so a crashing
@@ -52,13 +45,8 @@ inline DcheckDumpFn g_dcheck_dump = nullptr;
 
 [[noreturn]] inline void dcheck_fail(const char* file, int line,
                                      const char* expr, const char* msg) {
-  char ctx[256];
-  ctx[0] = '\0';
-  if (g_dcheck_context != nullptr) g_dcheck_context(ctx, sizeof ctx);
-  std::fprintf(stderr, "ILU_DCHECK failed: %s:%d: (%s) %s%s%s\n", file, line,
-               expr, msg, ctx[0] != '\0' ? " [span: " : "",
-               ctx[0] != '\0' ? ctx : "");
-  if (ctx[0] != '\0') std::fprintf(stderr, "]\n");
+  std::fprintf(stderr, "ILU_DCHECK failed: %s:%d: (%s) %s\n", file, line,
+               expr, msg);
   if (g_dcheck_dump != nullptr) g_dcheck_dump();
   std::abort();
 }

@@ -97,12 +97,6 @@ class Summary {
     sorted_ = false;
   }
   void add_ms(Duration d) { add(to_ms(d)); }
-  /// Append another summary's samples (shard merging in the tracer).
-  void merge(const Summary& other) {
-    values_.insert(values_.end(), other.values_.begin(),
-                   other.values_.end());
-    sorted_ = false;
-  }
   std::size_t count() const { return values_.size(); }
   double mean() const;
   double min() const;

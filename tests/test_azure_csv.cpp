@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "keepalive/simulator.hpp"
 
@@ -15,7 +18,15 @@ namespace {
 class AzureCsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "ilu_azure_csv";
+    // One directory per test and process: ctest runs these tests in
+    // parallel processes, and a shared directory let one test's TearDown
+    // delete the files another was reading.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ilu_azure_csv_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     inv_ = (dir_ / "invocations.csv").string();
     dur_ = (dir_ / "durations.csv").string();

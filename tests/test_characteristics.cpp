@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/span_tracer.hpp"
-
 namespace ilu {
 namespace {
 
@@ -62,33 +60,6 @@ TEST(Characteristics, IndependentFunctions) {
   EXPECT_EQ(m.expected_warm(0), msecs(10));
   EXPECT_EQ(m.expected_warm(3), msecs(90));
   EXPECT_EQ(m.expected_warm(1), Duration::zero());
-}
-
-TEST(SpanTracer, RecordsAndSummarizes) {
-  SpanTracer t;
-  t.record(spans::kCallContainer, msecs(1.0));
-  t.record(spans::kCallContainer, msecs(2.0));
-  EXPECT_NEAR(t.mean_ms(spans::kCallContainer), 1.5, 1e-9);
-  EXPECT_EQ(t.count(spans::kCallContainer), 2u);
-}
-
-TEST(SpanTracer, DisabledTracerIsNoOp) {
-  SpanTracer t(false);
-  t.record(spans::kInvoke, msecs(1.0));
-  EXPECT_EQ(t.count(spans::kInvoke), 0u);
-  EXPECT_DOUBLE_EQ(t.mean_ms(spans::kInvoke), 0.0);
-}
-
-TEST(SpanTracer, UnknownSpanIsZero) {
-  SpanTracer t;
-  EXPECT_DOUBLE_EQ(t.mean_ms("nope"), 0.0);
-}
-
-TEST(SpanTracer, ClearResets) {
-  SpanTracer t;
-  t.record(spans::kInvoke, msecs(1.0));
-  t.clear();
-  EXPECT_EQ(t.count(spans::kInvoke), 0u);
 }
 
 }  // namespace

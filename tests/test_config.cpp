@@ -30,7 +30,7 @@ TEST(Config, WorkerFullDocument) {
     "bypass_ms": 250, "bypass_load_limit": 0.8,
     "backend": "crun", "netns_pool_size": 16,
     "free_buffer_mb": 512, "sweep_interval_ms": 200,
-    "create_retries": 5, "tracing": false, "seed": 777
+    "create_retries": 5, "seed": 777
   })"));
   EXPECT_EQ(cfg.name, "w7");
   EXPECT_DOUBLE_EQ(cfg.cores, 16.0);
@@ -47,7 +47,6 @@ TEST(Config, WorkerFullDocument) {
   EXPECT_EQ(cfg.pool.free_buffer_mb, 512u);
   EXPECT_EQ(cfg.pool.sweep_interval, msecs(200));
   EXPECT_EQ(cfg.create_retries, 5);
-  EXPECT_FALSE(cfg.tracing);
   EXPECT_EQ(cfg.seed, 777u);
 }
 

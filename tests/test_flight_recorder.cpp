@@ -1,6 +1,7 @@
 // Flight recorder (obs/flight): ring wrap semantics, concurrent write+drain
 // (run under TSan in the sanitizer matrix), binary dump round-trip, Chrome
-// trace conversion, and the dump-on-ILU_DCHECK-abort hook.
+// trace conversion, the worker-stage fold, and the dump-on-ILU_DCHECK-abort
+// hook.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -243,9 +244,70 @@ TEST(FlightChromeTrace, ProducesValidSortedJson) {
             flight::ev_name(Ev::kInvokeArrival));
 }
 
+TEST(FlightChromeTrace, StagesAreCompleteEvents) {
+  Recorder rec(true, 32);
+  rec.record(10, Ev::kInvokeArrival, 1);
+  rec.record(10, Ev::kStageInvoke, 26);
+  rec.record(36, Ev::kStageSyncInvoke, 13);
+  JsonValue doc = json_parse(flight::chrome_trace_json(rec.snapshot_all()));
+  const JsonArray& evs = doc.find("traceEvents")->as_array();
+  ASSERT_EQ(evs.size(), 3u);
+  EXPECT_EQ(evs[0].find("ph")->as_string(), "i");
+  EXPECT_EQ(evs[0].find("dur"), nullptr);
+  EXPECT_EQ(evs[1].find("name")->as_string(), "invoke");
+  EXPECT_EQ(evs[1].find("ph")->as_string(), "X");
+  EXPECT_EQ(evs[1].find("ts")->as_number(), 10.0);
+  EXPECT_EQ(evs[1].find("dur")->as_number(), 26.0);
+  EXPECT_EQ(evs[2].find("name")->as_string(), "sync_invoke");
+  EXPECT_EQ(evs[2].find("dur")->as_number(), 13.0);
+}
+
 TEST(FlightEvNames, KnownAndUnknown) {
   EXPECT_STREQ(flight::ev_name(Ev::kColdCreate), "cold_create");
   EXPECT_STREQ(flight::ev_name(static_cast<Ev>(0xbeef)), "?");
+  // Stage codes keep their Table 1 row names, appended after the
+  // milestone codes in Table 1 order.
+  EXPECT_EQ(static_cast<int>(Ev::kStageInvoke), 15);
+  EXPECT_EQ(static_cast<int>(Ev::kStageReturnResults), 27);
+  EXPECT_STREQ(flight::ev_name(Ev::kStageInvoke), "invoke");
+  EXPECT_STREQ(flight::ev_name(Ev::kStageAddItemToQ), "add_item_to_q");
+  EXPECT_STREQ(flight::ev_name(Ev::kStageTryLockContainer),
+               "try_lock_container");
+  EXPECT_STREQ(flight::ev_name(Ev::kStageReturnResults), "return_results");
+  EXPECT_EQ(flight::stage_index(Ev::kStageReturnResults),
+            flight::kStageCount - 1);
+  EXPECT_FALSE(flight::is_stage(Ev::kReplayMilestone));
+  EXPECT_TRUE(flight::is_stage(Ev::kStageInvoke));
+}
+
+TEST(FlightStages, FoldSumsStagesAndFlagsWrap) {
+  Recorder rec(true, 4);
+  rec.record(1, Ev::kInvokeArrival, 999);  // milestones are not folded
+  rec.record(1, Ev::kStageInvoke, 20);
+  rec.record(2, Ev::kStageInvoke, 30);
+  rec.record(3, Ev::kStageCallContainer, 1400);
+  flight::StageTotals t = flight::fold_stages(rec.snapshot_all());
+  EXPECT_FALSE(t.wrapped);
+  EXPECT_EQ(t.count_of(Ev::kStageInvoke), 2u);
+  EXPECT_EQ(t.sum_us[flight::stage_index(Ev::kStageInvoke)], 50u);
+  EXPECT_DOUBLE_EQ(t.mean_ms(Ev::kStageInvoke), 0.025);
+  EXPECT_DOUBLE_EQ(t.mean_ms(Ev::kStageCallContainer), 1.4);
+  EXPECT_EQ(t.count_of(Ev::kStageDequeue), 0u);
+  EXPECT_DOUBLE_EQ(t.mean_ms(Ev::kStageDequeue), 0.0);
+
+  // A fifth record overwrites the oldest: the fold says so.
+  rec.record(4, Ev::kStageDequeue, 20);
+  t = flight::fold_stages(rec.snapshot_all());
+  EXPECT_TRUE(t.wrapped);
+  EXPECT_EQ(t.count_of(Ev::kStageDequeue), 1u);
+
+  // A dump folds the same as the live snapshot.
+  std::ostringstream os;
+  rec.dump(os);
+  flight::StageTotals from_dump = flight::fold_stages(flight::decode(os.str()));
+  EXPECT_EQ(from_dump.count, t.count);
+  EXPECT_EQ(from_dump.sum_us, t.sum_us);
+  EXPECT_TRUE(from_dump.wrapped);
 }
 
 /// The crash hook: dcheck_fail must write the installed dump before

@@ -195,7 +195,7 @@ TEST(IluLint, RawThreadSuppressed) {
 
 TEST(IluLint, RawThreadAllowlistedPaths) {
   for (const char* path :
-       {"runtime/sharded_runtime.cpp", "exp/sweep.cpp", "obs/tracer.cpp",
+       {"runtime/sharded_runtime.cpp", "exp/sweep.cpp", "obs/flight.cpp",
         "util/log.cpp", "util/dcheck.hpp"}) {
     auto fs = lint_fixture_at("raw_thread.cpp", path);
     EXPECT_EQ(count_check(fs, "raw-thread"), 0) << "at " << path;
@@ -352,7 +352,9 @@ TEST(IluLint, LexerSplicedStringKeepsLineNumbers) {
       "b\";\n"
       "int third = 1;\n");
   for (const auto& t : lr.tokens) {
-    if (t.text == "third") EXPECT_EQ(t.line, 3);
+    if (t.text == "third") {
+      EXPECT_EQ(t.line, 3);
+    }
   }
 }
 

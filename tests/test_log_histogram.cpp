@@ -1,7 +1,6 @@
 // Log-bucketed histograms (obs/metrics): bounded relative error across the
 // µs→s range, deterministic shard-count-independent merge, exact overflow
-// tracking (for both LogHistogram and the fixed-width Histogram's new
-// saturation fields), and registry snapshot/export plumbing.
+// tracking and exact whole-µs sums, and registry snapshot/export plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +16,7 @@
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/time.hpp"
 
 namespace ilu {
 namespace {
@@ -95,6 +95,26 @@ TEST(LogHistogram, BoundedRelativeErrorAcrossDecades) {
               1e-5);
 }
 
+TEST(LogHistogram, WholeMicrosecondsReadBackExactly) {
+  // 1001 µs in ms units is 1.0009999999999999 as a double; micro-units
+  // must round to nearest, not truncate to 1000999.
+  LogHistogram h;
+  h.observe(to_ms(usecs(1001)));
+  EXPECT_DOUBLE_EQ(h.sum(), 1.001);
+  EXPECT_DOUBLE_EQ(h.mean(), 1.001);
+  EXPECT_DOUBLE_EQ(h.observed_min(), 1.001);
+  EXPECT_DOUBLE_EQ(h.observed_max(), 1.001);
+  EXPECT_DOUBLE_EQ(h.percentile(1.0), 1.001);
+
+  LogHistogram all;
+  std::int64_t sum_us = 0;
+  for (std::int64_t us = 1; us <= 2000; ++us) {
+    all.observe(to_ms(usecs(us)));
+    sum_us += us;
+  }
+  EXPECT_DOUBLE_EQ(all.sum(), static_cast<double>(sum_us) / 1000.0);
+}
+
 TEST(LogHistogram, SingleValueIsExactViaObservedMax) {
   LogHistogram h;
   h.observe(3.7);
@@ -170,33 +190,6 @@ TEST(LogHistogram, MergeIsShardCountInvariant) {
   }
 }
 
-// ---- fixed-width Histogram overflow (satellite) --------------------------
-
-TEST(Histogram, OverflowKeepsExactMax) {
-  Histogram h(1.0, 10);  // nominal range [0, 10)
-  h.observe(2.0);
-  h.observe(25.5);
-  h.observe(17.0);
-  EXPECT_TRUE(h.saturated());
-  EXPECT_EQ(h.overflow_count(), 2u);
-  EXPECT_DOUBLE_EQ(h.overflow_max(), 25.5);
-  // The tail quantile reports the true max instead of flattening at the
-  // final bucket edge (the pre-fix behaviour).
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(1.0), 25.5);
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(0.99), 25.5);
-  // In-range quantiles are unaffected.
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(0.3), 3.0);
-}
-
-TEST(Histogram, UnsaturatedStaysBucketEdged) {
-  Histogram h(1.0, 10);
-  h.observe(2.5);
-  EXPECT_FALSE(h.saturated());
-  EXPECT_EQ(h.overflow_count(), 0u);
-  EXPECT_DOUBLE_EQ(h.overflow_max(), 0.0);
-  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(1.0), 3.0);
-}
-
 // ---- registry + snapshot + export ----------------------------------------
 
 TEST(MetricsRegistry, LogHistogramFindOrCreate) {
@@ -219,8 +212,8 @@ TEST(MetricsRegistry, LogHistogramFindOrCreate) {
 
 TEST(MetricsExport, JsonCarriesSaturationAndLogHistograms) {
   MetricsRegistry reg;
-  Histogram* fixed = reg.histogram("fixed", 1.0, 4);
-  fixed->observe(99.0);
+  LogHistogram* narrow = reg.log_histogram("narrow", 1.0, 4.0);
+  narrow->observe(99.0);
   LogHistogram* lh = reg.log_histogram("wait_ms");
   lh->observe(0.25);
 
@@ -228,15 +221,13 @@ TEST(MetricsExport, JsonCarriesSaturationAndLogHistograms) {
   std::string text = doc.dump();
   JsonValue parsed = json_parse(text);
 
-  const JsonValue* hists = parsed.find("histograms");
-  ASSERT_NE(hists, nullptr);
-  const JsonValue* fx = hists->find("fixed");
-  ASSERT_NE(fx, nullptr);
-  EXPECT_TRUE(fx->find("saturated")->as_bool());
-  EXPECT_DOUBLE_EQ(fx->find("overflow_max")->as_number(), 99.0);
-
   const JsonValue* lhs = parsed.find("log_histograms");
   ASSERT_NE(lhs, nullptr);
+  const JsonValue* nx = lhs->find("narrow");
+  ASSERT_NE(nx, nullptr);
+  EXPECT_TRUE(nx->find("saturated")->as_bool());
+  EXPECT_DOUBLE_EQ(nx->find("max")->as_number(), 99.0);
+
   const JsonValue* w = lhs->find("wait_ms");
   ASSERT_NE(w, nullptr);
   EXPECT_EQ(w->find("count")->as_number(), 1.0);

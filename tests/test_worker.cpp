@@ -78,13 +78,16 @@ TEST_F(WorkerTest, ColdOverheadIncludesContainerCreation) {
 }
 
 TEST_F(WorkerTest, SpansAreRecorded) {
+  flight::Recorder& recorder = flight::Recorder::instance();
+  recorder.clear();
   invoke_and_run(fn_);
   invoke_and_run(fn_);
-  auto& t = worker_.tracer();
-  EXPECT_EQ(t.count(spans::kInvoke), 2u);
-  EXPECT_EQ(t.count(spans::kCallContainer), 2u);
-  EXPECT_EQ(t.count(spans::kTryLockContainer), 1u);  // warm path only
-  EXPECT_GT(t.mean_ms(spans::kCallContainer), 0.5);
+  using flight::Ev;
+  const flight::StageTotals t = flight::fold_stages(recorder.snapshot_all());
+  EXPECT_EQ(t.count_of(Ev::kStageInvoke), 2u);
+  EXPECT_EQ(t.count_of(Ev::kStageCallContainer), 2u);
+  EXPECT_EQ(t.count_of(Ev::kStageTryLockContainer), 1u);  // warm path only
+  EXPECT_GT(t.mean_ms(Ev::kStageCallContainer), 0.5);
 }
 
 TEST_F(WorkerTest, PrewarmEliminatesColdStart) {
