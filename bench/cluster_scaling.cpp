@@ -92,10 +92,10 @@ Out run(std::size_t workers, LbPolicy lb, double bound_factor) {
 
 /// The sharded scenario: 32 workers under CH-BL, dense synthetic traffic
 /// (~1000 req/s — ~30 req/s per worker, paper-plausible for 8-core
-/// workers) replayed from a SoA arena. The density matters: conservative
-/// windows only pay off when each shard executes many events per window,
-/// so the barrier cost amortizes.
-TraceArena sharded_workload() {
+/// workers). The density matters: conservative windows only pay off when
+/// each shard executes many events per window, so the barrier cost
+/// amortizes.
+Trace sharded_workload() {
   std::vector<SyntheticFunctionSpec> specs;
   Rng rng(23);
   auto bench_fns = function_bench();
@@ -107,13 +107,13 @@ TraceArena sharded_workload() {
                      .mean_iat = secs(rng.uniform(0.06, 0.3)),
                      .exponential = true});
   }
-  return make_synthetic_arena(specs, mins(2), 31);
+  return make_synthetic_trace(specs, mins(2), 31);
 }
 
 /// A shorter cut of the same traffic shape for the placement matrix: the
 /// matrix exists to prove byte-identical results under every placement x
 /// shard count combination, and a short trace proves that just as well.
-TraceArena matrix_workload() {
+Trace matrix_workload() {
   std::vector<SyntheticFunctionSpec> specs;
   Rng rng(23);
   auto bench_fns = function_bench();
@@ -125,7 +125,7 @@ TraceArena matrix_workload() {
                      .mean_iat = secs(rng.uniform(0.06, 0.3)),
                      .exponential = true});
   }
-  return make_synthetic_arena(specs, secs(4), 31);
+  return make_synthetic_trace(specs, secs(4), 31);
 }
 
 struct ShardedOut {
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
   scsv.row("trace", "shards", "placement", "wall_s", "speedup", "windows",
            "messages", "completed", "equivalent");
 
-  TraceArena synth;
+  Trace synth;
   std::unique_ptr<ArenaFile> file;
   EventView view;
   const std::vector<FunctionProfile>* functions = nullptr;
@@ -304,7 +304,7 @@ int main(int argc, char** argv) {
   banner("Placement matrix — byte-identical reports");
   std::printf(kHeader, "shards", "placement", "wall s", "speedup", "windows",
               "messages", "completed", "equal");
-  TraceArena matrix = matrix_workload();
+  Trace matrix = matrix_workload();
   EventView mview(matrix);
   auto mbase =
       run_sharded(1, Placement::kRoundRobin, mview, matrix.functions);

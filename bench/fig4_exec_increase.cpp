@@ -13,12 +13,9 @@
 // The (trace x policy x cache-size) grid fans across cores via the
 // exp::SweepRunner (`--threads N`, default all cores); each cell is an
 // independent deterministic simulation and the output is byte-identical to
-// the sequential order whatever the thread count. `--shard i/n` runs only
-// every n-th cell (offset i) so the grid can be split across machines;
-// skipped cells print as "-" and are omitted from the CSVs.
+// the sequential order whatever the thread count.
 
 #include <csignal>
-#include <numeric>
 
 #include "bench_util.hpp"
 
@@ -39,7 +36,6 @@ int main(int argc, char** argv) {
   using namespace ilu::bench;
 
   unsigned threads = exp::threads_from_args(argc, argv);
-  exp::SweepShard shard = exp::shard_from_args(argc, argv);
 
   // Day-long traces at their *natural* rates: the keep-alive comparison
   // needs the trace's own concurrency level (force-scaling to the Table 2
@@ -78,27 +74,17 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const std::size_t grid_size = tasks.size();
-  std::vector<std::size_t> owned(grid_size);
-  std::iota(owned.begin(), owned.end(), std::size_t{0});
-  owned = shard.filter(std::move(owned));
-  auto mine = shard.filter(std::move(tasks));
-
   exp::SweepRunner runner(
       {.threads = threads, .progress_interval = secs(5.0)});
   g_runner = &runner;
   std::signal(SIGINT, fig4_handle_sigint);
-  std::printf("(sweep: %zu of %zu cells [shard %zu/%zu] on %u threads)\n",
-              mine.size(), grid_size, shard.index, shard.count,
+  std::printf("(sweep: %zu cells on %u threads)\n", tasks.size(),
               runner.threads());
-  auto mine_results = runner.run_partial(mine);
+  const std::vector<std::optional<KeepAliveSimResult>> results =
+      runner.run_partial(tasks);
   std::signal(SIGINT, SIG_DFL);
   if (runner.stop_requested()) {
     std::printf("(interrupted — printing the completed cells)\n");
-  }
-  std::vector<std::optional<KeepAliveSimResult>> results(grid_size);
-  for (std::size_t k = 0; k < owned.size(); ++k) {
-    results[owned[k]] = std::move(mine_results[k]);
   }
 
   CsvWriter csv(results_dir() + "/fig4_exec_increase.csv");

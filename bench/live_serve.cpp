@@ -148,8 +148,8 @@ StageResult run_stage(double per_min, Duration duration,
     }
   }
 
-  TraceArena arena = make_synthetic_arena(specs, duration, /*seed=*/17);
-  EventView view(arena);
+  Trace trace = make_synthetic_trace(specs, duration, /*seed=*/17);
+  EventView view(trace);
 
   TelemetrySampler sampler(rt, msecs(500));
   sampler.add_registry("w:", &w.metrics());

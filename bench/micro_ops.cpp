@@ -198,7 +198,6 @@ void BM_ContainerPoolAcquireReturn(benchmark::State& state) {
   auto profile = lookbusy(msecs(100), 128, msecs(500));
   for (int i = 0; i < 32; ++i) {
     ContainerHandle c = pool.add_container(0, profile, rt.now());
-    pool.get(c).state = ContainerState::Launching;
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, rt.now());
   }

@@ -44,7 +44,6 @@ std::uint64_t churn_slab(ContainerPool& pool, const FunctionProfile& profile,
     FunctionId fn = static_cast<FunctionId>(i % kFns);
     ContainerHandle c = pool.add_container(fn, profile, usecs(t));
     if (c.valid()) {
-      pool.get(c).state = ContainerState::Launching;
       pool.get(c).state = ContainerState::Running;
       // Warm hit on the previously churned function while the new
       // container is "executing".
@@ -65,7 +64,6 @@ std::uint64_t churn_pointer(PointerContainerPool& pool,
     FunctionId fn = static_cast<FunctionId>(i % kFns);
     Container* c = pool.add_container(fn, profile, usecs(t));
     if (c != nullptr) {
-      c->state = ContainerState::Launching;
       c->state = ContainerState::Running;
       Container* warm =
           pool.acquire(static_cast<FunctionId>((i + 1) % kFns), usecs(t + 1));

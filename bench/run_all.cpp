@@ -14,7 +14,7 @@
 // schedule_cancel_ops_per_sec, queue_push_pop_ops_per_sec,
 // pool_acquire_return_ops_per_sec}, pool_churn:{slab_ops_per_sec,
 // pointer_ops_per_sec, speedup}, trace_gen:{functions, events,
-// aos_events_per_sec, arena_events_per_sec}, trace_replay:{functions,
+// aos_events_per_sec}, trace_replay:{functions,
 // events, chunks, gen_events_per_sec, replay_events_per_sec, equivalent},
 // cluster_scaling:{shards,
 // completed, wall_s_serial, wall_s_sharded, speedup, equivalent},
@@ -23,7 +23,9 @@
 // recorder_disabled_ns_per_event, hist_ns_per_record}}]}.
 // Fields are never renamed, so downstream tooling can diff runs across PRs;
 // a field leaves the schema only with the mechanism it measured (older
-// cluster_scaling records also carry the removed optimistic-sync fields).
+// cluster_scaling records also carry the removed optimistic-sync fields,
+// older trace_gen records the removed SoA generator's
+// arena_events_per_sec).
 // Note: on a 1-core CI host cluster_scaling.speedup < 1 by construction
 // (barriers with no parallel hardware); `equivalent` is the load-bearing
 // field there.
@@ -153,7 +155,6 @@ double pool_acquire_return_ops_per_sec(int rounds) {
   auto profile = lookbusy(msecs(100), 128, msecs(500));
   for (int i = 0; i < 32; ++i) {
     ContainerHandle c = pool.add_container(0, profile, rt.now());
-    pool.get(c).state = ContainerState::Launching;
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, rt.now());
   }
@@ -196,7 +197,6 @@ PoolChurnTiming pool_churn_timing(int cycles) {
         ContainerHandle c = pool.add_container(
             static_cast<FunctionId>(i % kFns), profile, usecs(t));
         if (c.valid()) {
-          pool.get(c).state = ContainerState::Launching;
           pool.get(c).state = ContainerState::Running;
           ContainerHandle warm = pool.acquire(
               static_cast<FunctionId>((i + 1) % kFns), usecs(t + 1));
@@ -219,7 +219,6 @@ PoolChurnTiming pool_churn_timing(int cycles) {
         Container* c = pool.add_container(static_cast<FunctionId>(i % kFns),
                                           profile, usecs(t));
         if (c != nullptr) {
-          c->state = ContainerState::Launching;
           c->state = ContainerState::Running;
           Container* warm = pool.acquire(
               static_cast<FunctionId>((i + 1) % kFns), usecs(t + 1));
@@ -313,13 +312,11 @@ SweepTiming fig4_sweep_timing(unsigned threads, bool smoke) {
 struct TraceGenTiming {
   std::size_t functions = 0;
   std::size_t events = 0;
-  double aos_events_per_sec = 0.0;    // make_synthetic_trace (AoS + sort)
-  double arena_events_per_sec = 0.0;  // make_synthetic_arena (SoA keys)
+  double aos_events_per_sec = 0.0;  // make_synthetic_trace (AoS + sort)
 };
 
 /// Satellite bench: generator throughput on a wide function grid (20k
-/// functions full, 2k smoke). The SoA arena path sorts packed u64 keys
-/// instead of 24-byte TraceEvent structs; both must yield identical events.
+/// functions full, 2k smoke).
 TraceGenTiming trace_gen_timing(bool smoke) {
   TraceGenTiming out;
   out.functions = smoke ? 2000 : 20000;
@@ -336,15 +333,11 @@ TraceGenTiming trace_gen_timing(bool smoke) {
   }
   const Duration dur = mins(2);
 
-  out.events = make_synthetic_arena(specs, dur, 13).size();
+  out.events = make_synthetic_trace(specs, dur, 13).events.size();
   const int reps = smoke ? 2 : 3;
   out.aos_events_per_sec = best_ops_per_sec(out.events, reps, [&] {
     auto t = make_synthetic_trace(specs, dur, 13);
     if (t.events.size() != out.events) std::exit(1);
-  });
-  out.arena_events_per_sec = best_ops_per_sec(out.events, reps, [&] {
-    auto a = make_synthetic_arena(specs, dur, 13);
-    if (a.size() != out.events) std::exit(1);
   });
   return out;
 }
@@ -360,7 +353,7 @@ struct TraceReplayTiming {
 
 /// Tentpole record: Azure-model trace generated to an on-disk ilu-arena-v1
 /// file in bounded-memory chunks, then replayed from the mmap through
-/// OpenLoopDriver against a deterministic latency engine. The in-RAM arena
+/// OpenLoopDriver against a deterministic latency engine. The in-RAM trace
 /// replay of the same seed must produce a byte-identical ExperimentReport
 /// (bench/trace_replay_scale.cpp runs the same check at any scale).
 TraceReplayTiming trace_replay_timing(bool smoke) {
@@ -437,7 +430,7 @@ TraceReplayTiming trace_replay_timing(bool smoke) {
   out.replay_events_per_sec =
       replay_s > 0.0 ? static_cast<double>(mmap_n) / replay_s : 0.0;
 
-  TraceArena ram = model.build_arena(indices, rate_scale);
+  Trace ram = model.build_trace(indices, rate_scale);
   auto [ram_fp, ram_n] = replay(EventView(ram), ram.functions, nullptr);
   out.equivalent = mmap_fp == ram_fp && mmap_n == ram_n;
   std::remove(path.c_str());
@@ -474,7 +467,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
                      .mean_iat = secs(rng.uniform(0.1, 0.5)),
                      .exponential = true});
   }
-  auto arena = make_synthetic_arena(specs, smoke ? secs(10) : secs(45), 31);
+  auto trace = make_synthetic_trace(specs, smoke ? secs(10) : secs(45), 31);
 
   auto run_once = [&](std::size_t nshards, double* wall_s) {
     ClusterConfig cfg;
@@ -486,7 +479,7 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
                                     LatencyModel::lognormal(usecs(100), 0.4));
     ShardedRuntime srt(nshards, cfg.rpc.lower_bound());
     Cluster cluster(srt, cfg);
-    for (const auto& f : arena.functions) cluster.register_function(f);
+    for (const auto& f : trace.functions) cluster.register_function(f);
     cluster.start();
     OpenLoopDriver d(srt.shard(0),
                      [&](FunctionId fn,
@@ -494,12 +487,12 @@ ClusterShardTiming cluster_sharded_timing(unsigned threads, bool smoke) {
                        cluster.invoke(fn, std::move(cb));
                      });
     auto t0 = Clock::now();
-    d.start(arena);
+    d.start(trace);
     while (!d.done()) srt.run_for(secs(20));
     *wall_s = seconds_since(t0);
     cluster.shutdown();
     std::vector<std::string> names;
-    for (const auto& f : arena.functions) names.push_back(f.name);
+    for (const auto& f : trace.functions) names.push_back(f.name);
     ExperimentReport rep(std::move(names));
     rep.add_all(d.results());
     return std::pair{rep.to_json().dump(), d.results().size()};
@@ -717,8 +710,8 @@ LiveEngineTiming live_engine_timing(bool smoke) {
     while (warmed.load(std::memory_order_acquire) < fns.size() * prewarms) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    TraceArena arena = make_synthetic_arena(specs, duration, 17);
-    EventView view(arena);
+    Trace trace = make_synthetic_trace(specs, duration, 17);
+    EventView view(trace);
     LiveLoadHarness harness(
         rt, [&w](FunctionId f, LiveLoadHarness::CompletionCb cb) {
           w.invoke(f, std::move(cb));
@@ -797,8 +790,6 @@ int main(int argc, char** argv) {
               tg.events);
   std::printf("%-36s %12.0f /s\n", "trace gen (AoS stable_sort)",
               tg.aos_events_per_sec);
-  std::printf("%-36s %12.0f /s\n", "trace gen (SoA arena keys)",
-              tg.arena_events_per_sec);
 
   auto tr = trace_replay_timing(smoke);
   std::printf("%-36s %12zu fns, %llu events, %zu chunk(s)\n",
@@ -885,7 +876,6 @@ int main(int argc, char** argv) {
   trace_gen["functions"] = static_cast<std::uint64_t>(tg.functions);
   trace_gen["events"] = static_cast<std::uint64_t>(tg.events);
   trace_gen["aos_events_per_sec"] = tg.aos_events_per_sec;
-  trace_gen["arena_events_per_sec"] = tg.arena_events_per_sec;
   run["trace_gen"] = trace_gen;
   JsonObject trace_replay;
   trace_replay["functions"] = static_cast<std::uint64_t>(tr.functions);

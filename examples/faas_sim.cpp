@@ -5,11 +5,11 @@
 //
 //   ./faas_sim                                # built-in demo config
 //   ./faas_sim --config worker.json
-//   ./faas_sim --config worker.json --trace mytrace   # from trace CSV pair
+//   ./faas_sim --config worker.json --trace my.arena  # from a trace file
 //   ./faas_sim --print-config                 # dump the effective config
 //
-// A trace prefix refers to files written by save_trace():
-//   <prefix>_functions.csv / <prefix>_events.csv
+// A trace file is an ilu-arena-v1 file, e.g. from `trace_tool gen` or
+// tools/trace_gen.
 
 #include <cstdio>
 #include <cstring>
@@ -35,21 +35,21 @@ Trace demo_trace() {
 
 int main(int argc, char** argv) {
   std::string config_path;
-  std::string trace_prefix;
+  std::string trace_path;
   std::string report_csv;
   bool print_config = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--config") == 0 && i + 1 < argc) {
       config_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_prefix = argv[++i];
+      trace_path = argv[++i];
     } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
       report_csv = argv[++i];
     } else if (std::strcmp(argv[i], "--print-config") == 0) {
       print_config = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--config cfg.json] [--trace prefix] "
+                   "usage: %s [--config cfg.json] [--trace file] "
                    "[--report out.csv] [--print-config]\n",
                    argv[0]);
       return 2;
@@ -71,9 +71,11 @@ int main(int argc, char** argv) {
   }
 
   Trace trace;
-  if (!trace_prefix.empty()) {
+  if (!trace_path.empty()) {
     try {
-      trace = load_trace(trace_prefix);
+      ArenaFile file(trace_path);
+      file.verify();
+      trace = file.to_trace();
     } catch (const std::exception& e) {
       std::fprintf(stderr, "trace error: %s\n", e.what());
       return 1;

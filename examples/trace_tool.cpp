@@ -1,21 +1,22 @@
 // Trace generation/inspection CLI for the Azure-model workloads.
 //
-//   ./trace_tool gen        <prefix> [rep|rare|random] [n] [target_rps] [hours]
-//   ./trace_tool info       <prefix | arena-file>
-//   ./trace_tool replay     <prefix> [--flight-out <file>]
+//   ./trace_tool gen        <file> [rep|rare|random] [n] [target_rps] [hours]
+//   ./trace_tool info       <file>
+//   ./trace_tool replay     <file> [--flight-out <dump.bin>]
 //   ./trace_tool tab1       <dump.bin>
 //   ./trace_tool flightdump <dump.bin> [--out <chrome.json>]
 //
-// `gen` writes <prefix>_functions.csv and <prefix>_events.csv (replayable
-// by faas_sim and the library's load_trace()); `info` prints statistics of
-// a saved trace (auto-detecting ilu-arena-v1 binary arenas, which it also
-// integrity-checks); `replay` runs the trace through a simulated worker and
-// can dump the flight recorder's binary event rings; `tab1` recomputes the
-// Table 1 per-component latency view from the worker stage records in such
-// a dump; `flightdump` decodes a binary flight dump (from `replay
-// --flight-out`, bench/tab1_components or a crash) into a per-ring summary
-// and optionally Chrome trace-event JSON.
+// `gen` writes an ilu-arena-v1 trace file (also replayable by faas_sim
+// --trace and bench/cluster_scaling --arena); `info` integrity-checks such
+// a file and prints its statistics from the mmap'd keys in O(functions)
+// memory; `replay` runs it through a simulated worker and can dump the
+// flight recorder's binary event rings; `tab1` recomputes the Table 1
+// per-component latency view from the worker stage records in such a dump;
+// `flightdump` decodes a binary flight dump (from `replay --flight-out`,
+// bench/tab1_components or a crash) into a per-ring summary and optionally
+// Chrome trace-event JSON.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +31,7 @@ using namespace ilu;
 namespace {
 
 int cmd_gen(int argc, char** argv) {
-  std::string prefix = argv[2];
+  std::string path = argv[2];
   std::string kind = argc > 3 ? argv[3] : "rep";
   std::size_t n = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 200;
   double rps = argc > 5 ? std::strtod(argv[5], nullptr) : 0.0;
@@ -53,79 +54,55 @@ int cmd_gen(int argc, char** argv) {
                  kind.c_str());
     return 2;
   }
-  save_trace(t, prefix);
+  write_arena_file(t, path);
   auto s = t.stats();
-  std::printf("wrote %s_{functions,events}.csv: %zu functions, %zu "
-              "invocations, %.1f req/s over %.1f h\n",
-              prefix.c_str(), s.num_functions, s.num_invocations,
+  std::printf("wrote %s (ilu-arena-v1): %zu functions, %zu invocations, "
+              "%.1f req/s over %.1f h\n",
+              path.c_str(), s.num_functions, s.num_invocations,
               s.reqs_per_sec, to_sec(t.duration) / 3600.0);
   return 0;
 }
 
-/// True when `path` is an ilu-arena-v1 file (checks the magic only; a
-/// corrupt file with a valid magic still fails loudly in ArenaFile's
-/// strict open).
-bool is_arena_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char bytes[8];
-  if (!in.read(bytes, sizeof bytes)) return false;
-  std::uint64_t magic = 0;
-  for (int i = 0; i < 8; ++i) {
-    magic |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-             << (8 * i);
-  }
-  return magic == kArenaMagic;
-}
-
-int cmd_info_arena(const std::string& path) {
-  ArenaFile f(path);
-  std::printf("arena %s (ilu-arena-v1)\n", path.c_str());
+int cmd_info(char** argv) {
+  ArenaFile f(argv[2]);
+  std::printf("arena %s (ilu-arena-v1)\n", argv[2]);
   std::printf("  functions:       %zu\n", f.functions().size());
   std::printf("  events:          %zu\n", f.size());
   std::printf("  duration:        %.2f h\n", to_sec(f.duration()) / 3600.0);
-  if (to_sec(f.duration()) > 0.0) {
-    std::printf("  request rate:    %.2f /s\n",
-                static_cast<double>(f.size()) / to_sec(f.duration()));
-  }
   std::printf("  file size:       %.1f MB (keys mmap'd)\n",
               static_cast<double>(f.file_bytes()) / 1e6);
   f.verify();
   std::printf("  integrity:       OK (keys sorted, fns bounded, checksums "
               "match)\n");
-  return 0;
-}
 
-int cmd_info(char** argv) {
-  if (is_arena_file(argv[2])) return cmd_info_arena(argv[2]);
-  Trace t = load_trace(argv[2]);
-  auto s = t.stats();
-  std::printf("trace %s\n", argv[2]);
-  std::printf("  functions:       %zu\n", s.num_functions);
+  // One more pass over the mmap'd keys; memory stays O(functions).
+  const TraceStats s = compute_stats(f.view(), f.functions(), f.duration());
   std::printf("  invocations:     %zu\n", s.num_invocations);
-  std::printf("  duration:        %.2f h\n", to_sec(t.duration) / 3600.0);
   std::printf("  request rate:    %.2f /s\n", s.reqs_per_sec);
   std::printf("  avg IAT:         %.2f ms\n", to_ms(s.avg_iat));
   std::printf("  Little's-law expected concurrency: %.2f\n",
               s.expected_concurrency);
-  // Top-5 functions by invocation count.
-  std::vector<std::size_t> counts(t.functions.size(), 0);
-  for (const auto& e : t.events) ++counts[e.fn];
-  std::vector<std::size_t> idx(t.functions.size());
+  const std::vector<std::size_t>& counts = s.invocations_per_function;
+  std::vector<std::size_t> idx(counts.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  std::sort(idx.begin(), idx.end(),
-            [&](std::size_t a, std::size_t b) { return counts[a] > counts[b]; });
+  const std::size_t top = std::min<std::size_t>(5, idx.size());
+  std::partial_sort(idx.begin(), idx.begin() + top, idx.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      return counts[a] != counts[b] ? counts[a] > counts[b]
+                                                    : a < b;
+                    });
   std::printf("  top functions:\n");
-  for (std::size_t i = 0; i < std::min<std::size_t>(5, idx.size()); ++i) {
-    const auto& f = t.functions[idx[i]];
+  for (std::size_t i = 0; i < top; ++i) {
+    const auto& fn = f.functions()[idx[i]];
     std::printf("    %-24s %8zu invocations, %u MB, warm %.0f ms, init %.0f ms\n",
-                f.name.c_str(), counts[idx[i]], f.mem_mb, to_ms(f.warm_time),
-                to_ms(f.init_time));
+                fn.name.c_str(), counts[idx[i]], fn.mem_mb, to_ms(fn.warm_time),
+                to_ms(fn.init_time));
   }
   return 0;
 }
 
 int cmd_replay(int argc, char** argv) {
-  std::string prefix = argv[2];
+  std::string path = argv[2];
   std::string flight_out;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--flight-out") == 0) {
@@ -143,14 +120,15 @@ int cmd_replay(int argc, char** argv) {
   // covers exactly this replay.
   flight::Recorder::instance().clear();
 
-  Trace t = load_trace(prefix);
+  ArenaFile arena(path);
+  arena.verify();
   SimRuntime rt;
   WorkerConfig cfg;
   cfg.cores = 48.0;
   cfg.memory_mb = 32 * 1024;
   Worker w(rt, cfg);
   std::vector<std::string> names;
-  for (const auto& f : t.functions) {
+  for (const auto& f : arena.functions()) {
     w.register_function(f);
     names.push_back(f.name);
   }
@@ -160,8 +138,8 @@ int cmd_replay(int argc, char** argv) {
                                  std::function<void(const InvokeResult&)> cb) {
     w.invoke(fn, std::move(cb));
   });
-  driver.start(t);
-  TimePoint deadline = rt.now() + t.duration + mins(5);
+  driver.start(arena.view());
+  TimePoint deadline = rt.now() + arena.duration() + mins(5);
   while (!driver.done() && rt.now() < deadline) rt.run_for(secs(5));
   w.shutdown();
 
@@ -290,9 +268,9 @@ int main(int argc, char** argv) try {
   if (argc >= 3 && std::strcmp(argv[1], "flightdump") == 0)
     return cmd_flightdump(argc, argv);
   std::fprintf(stderr,
-               "usage:\n  %s gen <prefix> [rep|rare|random] [n] [target_rps] "
-               "[hours]\n  %s info <prefix>\n  %s replay <prefix> "
-               "[--flight-out <file>]\n  %s tab1 <dump.bin>\n  %s "
+               "usage:\n  %s gen <file> [rep|rare|random] [n] [target_rps] "
+               "[hours]\n  %s info <file>\n  %s replay <file> "
+               "[--flight-out <dump.bin>]\n  %s tab1 <dump.bin>\n  %s "
                "flightdump <dump.bin> [--out <chrome.json>]\n",
                argv[0], argv[0], argv[0], argv[0], argv[0]);
   return 2;

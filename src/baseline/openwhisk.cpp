@@ -129,11 +129,7 @@ void OpenWhiskModel::try_start(PendingHandle p) {
         drop(p);
         return;
       }
-      Container& c = pool_.get(fresh);
-      c.state = ContainerState::Launching;
-      c.state = ContainerState::Running;
-      ++c.entry.uses;
-      c.entry.last_used = rt_.now();
+      pool_.launch(fresh, rt_.now());
       run_on(p, fresh, /*cold=*/true);
     });
   });

@@ -8,8 +8,9 @@
 #include "runtime/slab.hpp"
 
 /// A container/sandbox as managed by the worker's container layer. State
-/// transitions follow the paper's lifecycle: Provisioning (image/netns) ->
-/// Launching (agent starting) -> Idle <-> Running -> Removed.
+/// transitions follow the paper's lifecycle: Provisioning (image, netns,
+/// agent start) -> Running (its cold invocation) or Idle (a parked prewarm),
+/// then Idle <-> Running -> Removed.
 namespace ilu {
 
 using ContainerId = std::uint64_t;
@@ -31,13 +32,10 @@ struct ContainerHandle {
 
 enum class ContainerState {
   Provisioning,
-  Launching,
   Idle,
   Running,
   Removed,
 };
-
-const char* to_string(ContainerState s);
 
 struct Container {
   ContainerId id = 0;
@@ -65,8 +63,6 @@ struct Container {
   /// uses for TimerId). Zero gen = not in the rank index.
   std::uint32_t rank_slot = 0;
   std::uint32_t rank_gen = 0;
-
-  bool runnable() const { return state == ContainerState::Idle; }
 };
 
 /// Slab owner of every container record; `ContainerHandle` indexes into it.

@@ -214,7 +214,6 @@ void Worker::enqueue(PendingHandle p) {
     if (expected > Duration::zero() && expected <= cfg_.bypass_threshold &&
         norm_load < cfg_.bypass_load_limit) {
       rec.bypassed = true;
-      ++bypass_count_;
       ins_.bypassed->inc();
       ++running_;
       ins_.inflight->set(static_cast<std::int64_t>(running_));
@@ -362,7 +361,6 @@ void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
       r.exec_time = actual_exec;
       r.queue_wait = (rec.exec_started - rec.submitted) - rec.pre_overhead;
       if (r.queue_wait < Duration::zero()) r.queue_wait = Duration::zero();
-      ++completed_;
       flight::record(r.completed, flight::Ev::kComplete, rec.fn);
       ins_.completed->inc();
       ins_.queue_wait_ms->observe(to_ms(r.queue_wait));
@@ -378,11 +376,9 @@ void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
                             static_cast<double>(base.count()));
       }
       if (cold) {
-        ++cold_count_;
         ins_.cold->inc();
         chars_.record_cold(rec.fn, actual_exec);
       } else {
-        ++warm_count_;
         ins_.warm->inc();
         chars_.record_warm(rec.fn, actual_exec);
       }
@@ -400,7 +396,6 @@ void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
 }
 
 void Worker::fail(PendingHandle p) {
-  ++failure_count_;
   ins_.failures->inc();
   Pending& rec = pending_.get(p);
   flight::record(rt_.now(), flight::Ev::kFailure, rec.fn);
@@ -453,9 +448,7 @@ void Worker::prewarm(FunctionId fn, std::function<void(bool)> cb) {
           if (cb) cb(false);
           return;
         }
-        pool_.get(c).state = ContainerState::Launching;
         pool_.park_prewarmed(c, rt_.now());
-        ++prewarm_count_;
         flight::record(rt_.now(), flight::Ev::kPrewarm, fn);
         ins_.prewarms->inc();
         if (cb) cb(true);

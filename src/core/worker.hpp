@@ -133,12 +133,12 @@ class Worker {
   Status status() const;
 
   /// Aggregate counters.
-  std::uint64_t completed() const { return completed_; }
-  std::uint64_t warm_starts() const { return warm_count_; }
-  std::uint64_t cold_starts() const { return cold_count_; }
-  std::uint64_t bypassed() const { return bypass_count_; }
-  std::uint64_t failures() const { return failure_count_; }
-  std::uint64_t prewarms() const { return prewarm_count_; }
+  std::uint64_t completed() const { return ins_.completed->value(); }
+  std::uint64_t warm_starts() const { return ins_.warm->value(); }
+  std::uint64_t cold_starts() const { return ins_.cold->value(); }
+  std::uint64_t bypassed() const { return ins_.bypassed->value(); }
+  std::uint64_t failures() const { return ins_.failures->value(); }
+  std::uint64_t prewarms() const { return ins_.prewarms->value(); }
 
   /// Component access for tests, benches, and research instrumentation.
   /// Live metrics (counters/gauges/histograms) for this worker: invocation
@@ -238,13 +238,6 @@ class Worker {
 
   bool started_ = false;
   Runtime::TimerId regulator_timer_ = Runtime::kInvalidTimer;
-
-  std::uint64_t completed_ = 0;
-  std::uint64_t warm_count_ = 0;
-  std::uint64_t cold_count_ = 0;
-  std::uint64_t bypass_count_ = 0;
-  std::uint64_t failure_count_ = 0;
-  std::uint64_t prewarm_count_ = 0;
 
   AsyncToken next_token_ = 1;
   std::unordered_map<AsyncToken, InvokeResult> async_results_;

@@ -226,44 +226,6 @@ void SweepRunner::run_jobs(std::vector<std::function<void()>>&& jobs) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-namespace {
-
-SweepShard parse_shard_spec(const char* spec) {
-  char* end = nullptr;
-  unsigned long i = std::strtoul(spec, &end, 10);
-  if (end == spec || *end != '/') {
-    std::fprintf(stderr, "bad shard spec '%s': expected i/n (0-based)\n",
-                 spec);
-    std::exit(2);
-  }
-  const char* den = end + 1;
-  unsigned long n = std::strtoul(den, &end, 10);
-  if (end == den || *end != '\0' || n == 0 || i >= n) {
-    std::fprintf(stderr, "bad shard spec '%s': need 0 <= i < n\n", spec);
-    std::exit(2);
-  }
-  return SweepShard{static_cast<std::size_t>(i), static_cast<std::size_t>(n)};
-}
-
-}  // namespace
-
-SweepShard shard_from_args(int& argc, char** argv) {
-  SweepShard shard{};
-  if (const char* env = std::getenv("ILU_SHARD")) {
-    shard = parse_shard_spec(env);
-  }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-      shard = parse_shard_spec(argv[i + 1]);
-      // Strip like threads_from_args: keep argv[argc] == nullptr intact.
-      for (int j = i; j + 2 <= argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-      break;
-    }
-  }
-  return shard;
-}
-
 unsigned threads_from_args(int& argc, char** argv, unsigned fallback) {
   unsigned value = fallback;
   if (const char* env = std::getenv("ILU_THREADS")) {

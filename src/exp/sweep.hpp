@@ -132,32 +132,4 @@ class SweepRunner {
 /// flag is stripped.
 unsigned threads_from_args(int& argc, char** argv, unsigned fallback = 0);
 
-/// A machine's slice of a grid that is being split across machines:
-/// this process owns every cell index i with i % count == index.
-struct SweepShard {
-  std::size_t index = 0;
-  std::size_t count = 1;
-
-  bool selects(std::size_t cell) const { return cell % count == index; }
-
-  /// Keep only this shard's cells (in order). Apply to the task list
-  /// *before* SweepRunner::run so every machine builds the same full grid
-  /// and the union of all shards' outputs is exactly the unsharded sweep.
-  template <typename T>
-  std::vector<T> filter(std::vector<T> cells) const {
-    if (count <= 1) return cells;
-    std::vector<T> mine;
-    mine.reserve(cells.size() / count + 1);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (selects(i)) mine.push_back(std::move(cells[i]));
-    }
-    return mine;
-  }
-};
-
-/// Strip a `--shard i/n` flag from argv (any position, 0-based i < n) and
-/// return the shard; when absent, consult ILU_SHARD; when neither is set,
-/// return the full grid {0, 1}. Malformed specs abort with a message.
-SweepShard shard_from_args(int& argc, char** argv);
-
 }  // namespace ilu::exp

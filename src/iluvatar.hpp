@@ -8,7 +8,7 @@
 ///              execution engines, the time-parallel ShardedRuntime
 ///              (conservative-window synchronization), + latency models
 ///   trace/     workloads: FunctionBench profiles, the Azure trace model,
-///              load generators, trace I/O, mmap'd on-disk arenas
+///              load generators, the mmap'd on-disk trace file
 ///              (ilu-arena-v1) with bounded-memory chunked generation
 ///   containers container records, backends (containerd/docker/crun/null
 ///              latency profiles), netns pool
@@ -66,7 +66,6 @@
 #include "trace/event_view.hpp"
 #include "trace/function_profile.hpp"
 #include "trace/loadgen.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/workload.hpp"
 #include "util/csv.hpp"
 #include "util/hash.hpp"

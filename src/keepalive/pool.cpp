@@ -185,7 +185,7 @@ void ContainerPool::return_container(ContainerHandle h, TimePoint now) {
 
 void ContainerPool::park_prewarmed(ContainerHandle h, TimePoint now) {
   Container& c = store_.get(h);
-  assert(c.state == ContainerState::Launching);
+  assert(c.state == ContainerState::Provisioning);
   c.state = ContainerState::Idle;
   c.entry.last_used = now;
   c.prewarm_parked = true;

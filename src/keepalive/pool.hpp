@@ -108,7 +108,7 @@ class ContainerPool {
   /// Running -> Idle; the container becomes available for reuse.
   void return_container(ContainerHandle h, TimePoint now);
 
-  /// Park a freshly launched prewarm container (Launching -> Idle).
+  /// Park a freshly created prewarm container (Provisioning -> Idle).
   void park_prewarmed(ContainerHandle h, TimePoint now);
 
   /// Remove a container in any state (creation failure, shutdown).

@@ -34,7 +34,6 @@ void KeepAliveReplay::prewarm(FunctionId fn) {
     return;
   }
   ContainerHandle h = pool_.add_container(fn, p, rt_.now());
-  pool_.get(h).state = ContainerState::Launching;
   pool_.park_prewarmed(h, rt_.now());
   ++stats_.prewarm_creates;
 }

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -130,10 +131,10 @@ ArenaFileWriter::~ArenaFileWriter() {
 void ArenaFileWriter::begin(const std::vector<FunctionProfile>& functions,
                             Duration duration) {
   if (begun_) throw std::logic_error("ArenaFileWriter::begin called twice");
-  if (functions.size() > TraceArena::kMaxFn + 1) {
+  if (functions.size() > PackedKey::kMaxFn + 1) {
     throw std::logic_error("arena file: too many functions for packed keys");
   }
-  if (duration.count() < 0 || duration.count() > TraceArena::kMaxUs) {
+  if (duration.count() < 0 || duration.count() > PackedKey::kMaxUs) {
     throw std::logic_error("arena file: duration out of packed-key range");
   }
   begun_ = true;
@@ -157,7 +158,7 @@ void ArenaFileWriter::append_keys(const std::uint64_t* keys, std::size_t n) {
       throw std::logic_error("arena file: keys appended out of order");
     }
     last_key_ = keys[i];
-    if (TraceArena::key_fn(keys[i]) >= num_functions_) {
+    if (PackedKey::key_fn(keys[i]) >= num_functions_) {
       throw std::logic_error("arena file: key references unknown function");
     }
   }
@@ -214,18 +215,15 @@ std::uint64_t ArenaFileWriter::finalize() {
   return keys_offset_ + num_events_ * sizeof(std::uint64_t);
 }
 
-void write_arena_file(const TraceArena& arena, const std::string& path) {
-  ArenaFileWriter w(path);
-  w.begin(arena.functions, arena.duration);
+void write_arena_file(const Trace& trace, const std::string& path) {
   std::vector<std::uint64_t> keys;
-  keys.reserve(1 << 16);
-  for (std::size_t i = 0; i < arena.size(); ++i) {
-    keys.push_back(TraceArena::pack(arena.at(i), arena.fn[i]));
-    if (keys.size() == keys.capacity()) {
-      w.append_keys(keys.data(), keys.size());
-      keys.clear();
-    }
+  keys.reserve(trace.events.size());
+  for (const TraceEvent& e : trace.events) {
+    keys.push_back(PackedKey::pack(e.at, e.fn));
   }
+  std::sort(keys.begin(), keys.end());
+  ArenaFileWriter w(path);
+  w.begin(trace.functions, trace.duration);
   w.append_keys(keys.data(), keys.size());
   w.finalize();
 }
@@ -278,11 +276,11 @@ ArenaFile::ArenaFile(const std::string& path) : path_(path) {
     std::uint64_t meta_ck = r.u64();
     for (int i = 0; i < 4; ++i) r.u64();  // reserved
 
-    if (num_functions > TraceArena::kMaxFn + 1) {
+    if (num_functions > PackedKey::kMaxFn + 1) {
       throw std::runtime_error("arena file " + path_ +
                                ": function count exceeds packed-key range");
     }
-    if (duration_us_ < 0 || duration_us_ > TraceArena::kMaxUs) {
+    if (duration_us_ < 0 || duration_us_ > PackedKey::kMaxUs) {
       throw std::runtime_error("arena file " + path_ +
                                ": duration out of range");
     }
@@ -290,7 +288,10 @@ ArenaFile::ArenaFile(const std::string& path) : path_(path) {
         keys_offset_ % sizeof(std::uint64_t) != 0) {
       throw std::runtime_error("arena file " + path_ + ": bad keys offset");
     }
-    if (map_len_ != keys_offset_ + num_events_ * sizeof(std::uint64_t)) {
+    // Divide rather than multiply: num_events_ * 8 can wrap.
+    const std::uint64_t key_bytes = map_len_ - keys_offset_;
+    if (key_bytes % sizeof(std::uint64_t) != 0 ||
+        key_bytes / sizeof(std::uint64_t) != num_events_) {
       throw std::runtime_error("arena file " + path_ +
                                ": truncated or oversized key column");
     }
@@ -386,12 +387,12 @@ void ArenaFile::verify() const {
                                std::to_string(i));
     }
     prev = k[i];
-    if (TraceArena::key_fn(k[i]) >= functions_.size()) {
+    if (PackedKey::key_fn(k[i]) >= functions_.size()) {
       throw std::runtime_error("arena file " + path_ +
                                ": key references unknown function at " +
                                std::to_string(i));
     }
-    if (TraceArena::key_at(k[i]).count() > duration_us_) {
+    if (PackedKey::key_at(k[i]).count() > duration_us_) {
       throw std::runtime_error("arena file " + path_ +
                                ": event beyond trace duration at " +
                                std::to_string(i));
@@ -416,18 +417,17 @@ void ArenaFile::release_keys_before(std::size_t n) {
   released_bytes_ = end - keys_offset_;
 }
 
-TraceArena ArenaFile::to_arena() const {
-  TraceArena a;
-  a.functions = functions_;
-  a.duration = duration();
-  a.at_us.reserve(num_events_);
-  a.fn.reserve(num_events_);
+Trace ArenaFile::to_trace() const {
+  Trace t;
+  t.functions = functions_;
+  t.duration = duration();
+  t.events.reserve(num_events_);
   const std::uint64_t* k = keys();
   for (std::size_t i = 0; i < num_events_; ++i) {
-    a.at_us.push_back(TraceArena::key_at(k[i]).count());
-    a.fn.push_back(TraceArena::key_fn(k[i]));
+    t.events.push_back(
+        TraceEvent{PackedKey::key_at(k[i]), PackedKey::key_fn(k[i])});
   }
-  return a;
+  return t;
 }
 
 }  // namespace ilu

@@ -11,14 +11,13 @@
 
 /// On-disk trace arenas: the `ilu-arena-v1` binary format (DESIGN.md §13).
 ///
-/// The in-RAM TraceArena tops out around 20k-function grids; Azure-scale
-/// experiments need day-long traces of a million functions and 10^8
-/// invocations — tens of gigabytes of events that must never be
-/// materialized. This file format stores the function-profile table (small,
-/// O(functions)) followed by one flat column of packed
-/// `(at_us << 20) | fn` u64 keys, sorted ascending — exactly the
-/// TraceArena::pack representation, so an mmap of the key column *is* a
-/// replayable EventView with zero decode.
+/// An in-RAM Trace holds every event; Azure-scale experiments need
+/// day-long traces of a million functions and 10^8 invocations — gigabytes
+/// of events that must never be materialized. This file format stores the
+/// function-profile table (small, O(functions)) followed by one flat column
+/// of packed `(at_us << 20) | fn` u64 keys, sorted ascending — exactly the
+/// PackedKey representation, so an mmap of the key column *is* a replayable
+/// EventView with zero decode. It is the repo's one trace file format.
 ///
 /// Layout (all integers little-endian; keys page-aligned so the column can
 /// be madvised and released independently of the header):
@@ -42,10 +41,11 @@
 ///   offset keys_offset: num_events × u64 packed keys, sorted ascending
 ///
 /// Opening is strict and O(functions): magic, version, sizes, counts, and
-/// the meta checksum are all verified, and the file size must equal
-/// keys_offset + 8 × num_events exactly. Key-column integrity (sortedness,
-/// fn bounds, checksum) is an O(events) scan deferred to verify(), so that
-/// replay itself touches each key page exactly once.
+/// the meta checksum are all verified, and the key column must hold exactly
+/// num_events keys (file size == keys_offset + 8 × num_events). Key-column
+/// integrity (sortedness, fn bounds, checksum) is an O(events) scan
+/// deferred to verify(), so that replay itself touches each key page
+/// exactly once.
 namespace ilu {
 
 inline constexpr std::uint64_t kArenaMagic = 0x00014E5241554C49ull;  // "ILUARN\x01\0"
@@ -92,8 +92,10 @@ class ArenaFileWriter {
   bool begun_ = false;
 };
 
-/// Write an in-RAM arena to `path` (packs the columns back into keys).
-void write_arena_file(const TraceArena& arena, const std::string& path);
+/// Write an in-RAM trace to `path`: packs its events and sorts the keys.
+/// Every generator emits same-microsecond events in function order, so the
+/// sort leaves a generated trace's event order unchanged.
+void write_arena_file(const Trace& trace, const std::string& path);
 
 /// Memory-mapped reader. Opening parses and strictly validates the header
 /// and function table (throws std::runtime_error on any malformation), maps
@@ -123,8 +125,8 @@ class ArenaFile {
     return reinterpret_cast<const std::uint64_t*>(
         static_cast<const std::byte*>(map_) + keys_offset_);
   }
-  TimePoint at(std::size_t i) const { return TraceArena::key_at(keys()[i]); }
-  FunctionId fn(std::size_t i) const { return TraceArena::key_fn(keys()[i]); }
+  TimePoint at(std::size_t i) const { return PackedKey::key_at(keys()[i]); }
+  FunctionId fn(std::size_t i) const { return PackedKey::key_fn(keys()[i]); }
 
   /// Replay view over the mmap'd keys — feed straight to OpenLoopDriver.
   EventView view() const { return EventView::packed(keys(), num_events_); }
@@ -141,9 +143,9 @@ class ArenaFile {
   /// Re-reading released keys is legal (they fault back in from the file).
   void release_keys_before(std::size_t n);
 
-  /// Materialize an in-RAM TraceArena (tests / small files only: O(events)
+  /// Materialize an in-RAM Trace (tests / small files only: O(events)
   /// memory by definition).
-  TraceArena to_arena() const;
+  Trace to_trace() const;
 
  private:
   void close();

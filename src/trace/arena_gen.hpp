@@ -11,7 +11,7 @@
 /// Bounded-memory generation of on-disk trace arenas (DESIGN.md §13).
 ///
 /// A million-function, 10^8-invocation day is ~800 MB of packed keys —
-/// generating it through build_arena() would materialize every key in RAM
+/// generating it through build_trace() would materialize every event in RAM
 /// and sort them in one shot. generate_arena_file() instead works in chunks
 /// of `chunk_functions` functions: each chunk's events are generated
 /// in-RAM (the AzureTraceModel draws per-function RNG substreams, so a
@@ -22,11 +22,11 @@
 /// size.
 ///
 /// Determinism: a sorted merge of sorted chunks of u64 keys equals the
-/// global sort TraceArena::adopt_keys performs (equal keys are
-/// indistinguishable values), and the per-function RNG substreams make
-/// chunked generation draw-for-draw identical to one build_arena() pass.
-/// The output file is therefore byte-identical to
-/// `write_arena_file(model.build_arena(fn_indices, rate_scale), path)` —
+/// global sort write_arena_file performs (equal keys are indistinguishable
+/// values), and the per-function RNG substreams make chunked generation
+/// draw-for-draw identical to one build_trace() pass. The output file is
+/// therefore byte-identical to
+/// `write_arena_file(model.build_trace(fn_indices, rate_scale), path)` —
 /// tests/test_arena_file.cpp locks this in.
 namespace ilu {
 

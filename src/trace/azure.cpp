@@ -85,9 +85,9 @@ namespace {
 
 /// Minute-bucket generation per function, then the paper's replay rule:
 /// a single invocation lands at the start of the minute; k invocations are
-/// equally spaced across it. Storage-agnostic — `emit(at, fi)` sees events
-/// in function-major order, so the AoS and arena paths below draw RNG
-/// identically and produce the same event multiset.
+/// equally spaced across it. `emit(at, fi)` sees events in function-major
+/// order; build_trace inlines it, generate_events streams it to the chunked
+/// on-disk generator, and both draw RNG identically.
 template <typename Emit>
 void generate_bucketed(const AzureTraceModel& model,
                        const std::vector<std::size_t>& fn_indices,
@@ -164,21 +164,6 @@ Trace AzureTraceModel::build_trace(const std::vector<std::size_t>& fn_indices,
   return t;
 }
 
-TraceArena AzureTraceModel::build_arena(
-    const std::vector<std::size_t>& fn_indices, double rate_scale) const {
-  assert(rate_scale > 0.0);
-  TraceArena a;
-  a.duration = secs(cfg_.days * 86400.0);
-  a.functions = profiles_for(*this, fn_indices);
-  std::vector<std::uint64_t> keys;
-  generate_bucketed(*this, fn_indices, rate_scale, 0, fn_indices.size(),
-                    [&](TimePoint at, FunctionId fn) {
-                      keys.push_back(TraceArena::pack(at, fn));
-                    });
-  a.adopt_keys(keys);
-  return a;
-}
-
 std::vector<std::size_t> AzureTraceModel::indices_sorted_by_popularity()
     const {
   std::vector<std::size_t> idx(pop_.size());
@@ -192,29 +177,16 @@ std::vector<std::size_t> AzureTraceModel::indices_sorted_by_popularity()
 namespace {
 /// Two-pass load adjustment: generate at natural rate, then rescale so the
 /// trace hits the requested request rate (the paper scales function IAT
-/// CDFs to reach a suitable load for the system under test). The rescale
-/// factor is events / duration in both storage modes, so the Trace and
-/// arena samplers regenerate with bit-identical rate_scale.
-double rescale_for(double target_rps, std::size_t events, Duration duration) {
-  if (target_rps <= 0.0 || events == 0) return 0.0;
-  double natural_rps = static_cast<double>(events) / to_sec(duration);
-  return natural_rps > 0.0 ? target_rps / natural_rps : 0.0;
-}
-
+/// CDFs to reach a suitable load for the system under test).
 Trace with_target_rps(const AzureTraceModel& model,
                       const std::vector<std::size_t>& indices,
                       double target_rps) {
   Trace natural = model.build_trace(indices);
-  double s = rescale_for(target_rps, natural.events.size(), natural.duration);
-  return s > 0.0 ? model.build_trace(indices, s) : natural;
-}
-
-TraceArena with_target_rps_arena(const AzureTraceModel& model,
-                                 const std::vector<std::size_t>& indices,
-                                 double target_rps) {
-  TraceArena natural = model.build_arena(indices);
-  double s = rescale_for(target_rps, natural.size(), natural.duration);
-  return s > 0.0 ? model.build_arena(indices, s) : natural;
+  if (target_rps <= 0.0 || natural.events.empty()) return natural;
+  double natural_rps =
+      static_cast<double>(natural.events.size()) / to_sec(natural.duration);
+  double scale = target_rps / natural_rps;
+  return scale > 0.0 ? model.build_trace(indices, scale) : natural;
 }
 }  // namespace
 
@@ -284,21 +256,6 @@ Trace AzureTraceModel::sample_representative(std::size_t n,
 
 Trace AzureTraceModel::sample_random(std::size_t n, double target_rps) const {
   return with_target_rps(*this, pick_random(n), target_rps);
-}
-
-TraceArena AzureTraceModel::sample_rare_arena(std::size_t n,
-                                              double target_rps) const {
-  return with_target_rps_arena(*this, pick_rare(n), target_rps);
-}
-
-TraceArena AzureTraceModel::sample_representative_arena(
-    std::size_t n, double target_rps) const {
-  return with_target_rps_arena(*this, pick_representative(n), target_rps);
-}
-
-TraceArena AzureTraceModel::sample_random_arena(std::size_t n,
-                                                double target_rps) const {
-  return with_target_rps_arena(*this, pick_random(n), target_rps);
 }
 
 std::vector<double> AzureTraceModel::full_trace_rps_by_minute() const {

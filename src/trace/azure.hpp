@@ -114,27 +114,16 @@ class AzureTraceModel {
   Trace sample_representative(std::size_t n, double target_rps = 0.0) const;
   Trace sample_random(std::size_t n, double target_rps = 0.0) const;
 
-  /// Arena (SoA) variants of the samplers: identical function choice, RNG
-  /// draws, and event order as the Trace versions, generated straight into
-  /// a flat arena — the fast path for populations of tens of thousands.
-  TraceArena sample_rare_arena(std::size_t n, double target_rps = 0.0) const;
-  TraceArena sample_representative_arena(std::size_t n,
-                                         double target_rps = 0.0) const;
-  TraceArena sample_random_arena(std::size_t n, double target_rps = 0.0) const;
-
   /// Build a trace for an explicit set of population indices.
   Trace build_trace(const std::vector<std::size_t>& fn_indices,
                     double rate_scale = 1.0) const;
-  /// SoA counterpart of build_trace (same events, same order).
-  TraceArena build_arena(const std::vector<std::size_t>& fn_indices,
-                         double rate_scale = 1.0) const;
 
   /// Stream the events of functions fn_indices[fi_begin, fi_end) —
   /// `emit(at, fi)` sees them in function-major order (unsorted in time),
   /// with fi the *global* position within fn_indices. Each function draws
   /// from its own RNG substream keyed by population index, so any partition
   /// of [0, n) into subranges generates exactly the events of a single
-  /// build_arena(fn_indices, rate_scale) call. This is the bounded-memory
+  /// build_trace(fn_indices, rate_scale) call. This is the bounded-memory
   /// entry point the chunked on-disk generator (arena_gen.hpp) is built on.
   void generate_events(
       const std::vector<std::size_t>& fn_indices, double rate_scale,
@@ -157,9 +146,9 @@ class AzureTraceModel {
   /// over the day).
   double activity(const AzureFunctionMeta& m, double minute_of_day) const;
 
-  /// Deterministic index selection shared by the Trace and arena samplers,
-  /// public so the on-disk generator (arena_gen / tools/trace_gen) can
-  /// reuse the samplers' function choice without materializing a trace.
+  /// The samplers' deterministic index selection, public so the on-disk
+  /// generator (arena_gen / tools/trace_gen) can reuse the samplers'
+  /// function choice without materializing a trace.
   std::vector<std::size_t> pick_rare(std::size_t n) const;
   std::vector<std::size_t> pick_representative(std::size_t n) const;
   std::vector<std::size_t> pick_random(std::size_t n) const;

@@ -9,13 +9,10 @@
 
 /// Branch-free replay view over any event storage (DESIGN.md §13).
 ///
-/// OpenLoopDriver used to keep two replay paths — AoS `TraceEvent*` and SoA
-/// arena columns — selected by a per-event branch. EventView collapses all
-/// event layouts into one description: each logical column (at_us, fn) is a
-/// strided load plus a constant shift/mask, so the same hot loop replays
+/// Each logical column (at_us, fn) is a strided load plus a constant
+/// shift/mask, so the same OpenLoopDriver hot loop replays
 ///
-///   - AoS `Trace`        (16-byte TraceEvent stride),
-///   - SoA `TraceArena`   (separate i64 / u32 columns),
+///   - an AoS `Trace`     (16-byte TraceEvent stride),
 ///   - packed u64 keys    ((at_us << 20) | fn, in RAM or mmap'd from an
 ///                         ilu-arena-v1 file)
 ///
@@ -42,14 +39,6 @@ class EventView {
         at_stride_(sizeof(TraceEvent)),
         fn_stride_(sizeof(TraceEvent)) {}
 
-  /// View over SoA arena columns. The arena must outlive the view.
-  explicit EventView(const TraceArena& a)
-      : at_base_(reinterpret_cast<const std::byte*>(a.at_us.data())),
-        fn_base_(reinterpret_cast<const std::byte*>(a.fn.data())),
-        count_(a.size()),
-        at_stride_(sizeof(std::int64_t)),
-        fn_stride_(sizeof(FunctionId)) {}
-
   /// View over `n` packed `(at_us << 20) | fn` keys (sorted or not — the
   /// view itself imposes no order). The storage must outlive the view.
   static EventView packed(const std::uint64_t* keys, std::size_t n) {
@@ -61,8 +50,8 @@ class EventView {
     v.count_ = n;
     v.at_stride_ = sizeof(std::uint64_t);
     v.fn_stride_ = sizeof(std::uint64_t);
-    v.at_shift_ = TraceArena::kFnBits;
-    v.fn_mask_ = static_cast<std::uint32_t>(TraceArena::kMaxFn);
+    v.at_shift_ = PackedKey::kFnBits;
+    v.fn_mask_ = static_cast<std::uint32_t>(PackedKey::kMaxFn);
     return v;
   }
 

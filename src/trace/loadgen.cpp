@@ -88,16 +88,14 @@ void ClosedLoopDriver::client_loop(std::size_t remaining) {
   });
 }
 
-namespace {
-
-/// The synthetic arrival-process generator, independent of event storage:
-/// `emit(at, fn)` receives every event in function-major order. Both the
-/// AoS and the arena paths draw RNG through this one loop, so they produce
-/// the same event multiset by construction.
-template <typename Emit>
-void generate_synthetic(const std::vector<SyntheticFunctionSpec>& specs,
-                        Duration duration, std::uint64_t seed, Emit&& emit) {
+Trace make_synthetic_trace(const std::vector<SyntheticFunctionSpec>& specs,
+                           Duration duration, std::uint64_t seed) {
   assert(duration > Duration::zero());
+  Trace t;
+  t.duration = duration;
+  for (const auto& spec : specs) t.functions.push_back(spec.profile);
+  // Function-major generation, one RNG substream per function; the stable
+  // sort then leaves same-time events in function order.
   Rng rng(seed);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& spec = specs[i];
@@ -105,7 +103,7 @@ void generate_synthetic(const std::vector<SyntheticFunctionSpec>& specs,
     Rng frng = rng.substream(i);
     TimePoint at = spec.phase;
     while (at < duration) {
-      emit(at, static_cast<FunctionId>(i));
+      t.events.push_back(TraceEvent{at, static_cast<FunctionId>(i)});
       Duration gap =
           spec.exponential
               ? secs(frng.exponential(to_sec(spec.mean_iat)))
@@ -115,36 +113,11 @@ void generate_synthetic(const std::vector<SyntheticFunctionSpec>& specs,
       at += gap;
     }
   }
-}
-
-}  // namespace
-
-Trace make_synthetic_trace(const std::vector<SyntheticFunctionSpec>& specs,
-                           Duration duration, std::uint64_t seed) {
-  Trace t;
-  t.duration = duration;
-  for (const auto& spec : specs) t.functions.push_back(spec.profile);
-  generate_synthetic(specs, duration, seed, [&](TimePoint at, FunctionId fn) {
-    t.events.push_back(TraceEvent{at, fn});
-  });
   std::stable_sort(t.events.begin(), t.events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.at < b.at;
                    });
   return t;
-}
-
-TraceArena make_synthetic_arena(const std::vector<SyntheticFunctionSpec>& specs,
-                                Duration duration, std::uint64_t seed) {
-  TraceArena a;
-  a.duration = duration;
-  for (const auto& spec : specs) a.functions.push_back(spec.profile);
-  std::vector<std::uint64_t> keys;
-  generate_synthetic(specs, duration, seed, [&](TimePoint at, FunctionId fn) {
-    keys.push_back(TraceArena::pack(at, fn));
-  });
-  a.adopt_keys(keys);
-  return a;
 }
 
 Trace make_cyclic_trace(const std::vector<FunctionProfile>& profiles,

@@ -23,16 +23,15 @@ using InvokeFn =
 
 /// Replays a workload open-loop: invocation i is submitted at trace time
 /// events[i].at relative to start(). Uses O(1) outstanding timers by
-/// chaining to the next event. All storage layouts — AoS Trace, SoA
-/// TraceArena, and packed-key arenas (in RAM or mmap'd from disk) — replay
-/// through one EventView hot loop with no per-event branching.
+/// chaining to the next event. An in-RAM Trace and a packed-key arena
+/// (in RAM or mmap'd from disk) replay through one EventView hot loop with
+/// no per-event branching.
 class OpenLoopDriver {
  public:
   OpenLoopDriver(Runtime& rt, InvokeFn invoke);
 
   /// Begin replay. The viewed storage must outlive the driver's run.
   void start(const Trace& trace) { start(EventView(trace)); }
-  void start(const TraceArena& arena) { start(EventView(arena)); }
   void start(EventView events);
 
   /// Stream completions to `sink` instead of accumulating them in
@@ -108,12 +107,6 @@ struct SyntheticFunctionSpec {
 /// Merge per-function arrival processes into one sorted trace.
 Trace make_synthetic_trace(const std::vector<SyntheticFunctionSpec>& specs,
                            Duration duration, std::uint64_t seed = 1);
-
-/// Same workload as make_synthetic_trace (identical RNG draws, identical
-/// event order) generated straight into a flat SoA arena — the fast path
-/// for large function grids.
-TraceArena make_synthetic_arena(const std::vector<SyntheticFunctionSpec>& specs,
-                                Duration duration, std::uint64_t seed = 1);
 
 /// Cyclic access pattern: functions are invoked in rotation, one every
 /// `gap` (Fig 6's "cyclic" skewed workload).

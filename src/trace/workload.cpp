@@ -4,32 +4,41 @@
 #include <cassert>
 #include <cmath>
 
+#include "trace/event_view.hpp"
+
 namespace ilu {
 
-TraceStats Trace::stats() const {
+TraceStats compute_stats(const EventView& events,
+                         const std::vector<FunctionProfile>& functions,
+                         Duration duration) {
   TraceStats s;
   s.num_functions = functions.size();
   s.num_invocations = events.size();
+  s.invocations_per_function.assign(functions.size(), 0);
   if (events.empty()) return s;
 
-  Duration span = duration > Duration::zero()
-                      ? duration
-                      : events.back().at - events.front().at;
+  const TimePoint first = events.at(0);
+  const TimePoint last = events.at(events.size() - 1);
+  Duration span = duration > Duration::zero() ? duration : last - first;
   if (span <= Duration::zero()) span = usecs(1);
   s.reqs_per_sec = static_cast<double>(events.size()) / to_sec(span);
   if (events.size() > 1) {
-    s.avg_iat = Duration{(events.back().at - events.front().at).count() /
+    s.avg_iat = Duration{(last - first).count() /
                          static_cast<std::int64_t>(events.size() - 1)};
   }
 
   // Little's law: per-function arrival rate x warm execution time.
-  std::vector<std::size_t> counts(functions.size(), 0);
-  for (const auto& e : events) ++counts[e.fn];
+  std::vector<std::size_t>& counts = s.invocations_per_function;
+  for (std::size_t i = 0; i < events.size(); ++i) ++counts[events.fn(i)];
   for (std::size_t f = 0; f < functions.size(); ++f) {
     double rate = static_cast<double>(counts[f]) / to_sec(span);
     s.expected_concurrency += rate * to_sec(functions[f].warm_time);
   }
   return s;
+}
+
+TraceStats Trace::stats() const {
+  return compute_stats(EventView(*this), functions, duration);
 }
 
 std::vector<double> Trace::invocations_per_second_by_minute() const {
@@ -58,29 +67,6 @@ bool Trace::valid() const {
   return std::all_of(events.begin(), events.end(), [&](const TraceEvent& e) {
     return e.fn < functions.size();
   });
-}
-
-void TraceArena::adopt_keys(std::vector<std::uint64_t>& keys) {
-  std::sort(keys.begin(), keys.end());
-  at_us.clear();
-  fn.clear();
-  at_us.reserve(keys.size());
-  fn.reserve(keys.size());
-  for (std::uint64_t k : keys) {
-    at_us.push_back(key_at(k).count());
-    fn.push_back(key_fn(k));
-  }
-}
-
-Trace TraceArena::to_trace() const {
-  Trace t;
-  t.functions = functions;
-  t.duration = duration;
-  t.events.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    t.events.push_back(TraceEvent{Duration{at_us[i]}, fn[i]});
-  }
-  return t;
 }
 
 }  // namespace ilu

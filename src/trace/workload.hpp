@@ -26,7 +26,19 @@ struct TraceStats {
   /// Little's-law expected number of concurrently running invocations:
   /// sum over functions of (arrival rate x mean warm execution time).
   double expected_concurrency = 0.0;
+  /// Invocations of each function, indexed by FunctionId.
+  std::vector<std::size_t> invocations_per_function;
 };
+
+class EventView;
+
+/// Table 2's statistics in one pass over any event storage, in
+/// O(functions) memory: `trace_tool info` runs it over a mmap'd arena file
+/// without materializing the events, and Trace::stats() over the trace's
+/// own events. Every event's fn must index `functions`.
+TraceStats compute_stats(const EventView& events,
+                         const std::vector<FunctionProfile>& functions,
+                         Duration duration);
 
 struct Trace {
   std::vector<FunctionProfile> functions;
@@ -45,21 +57,13 @@ struct Trace {
   bool valid() const;
 };
 
-/// Structure-of-arrays event storage for trace generation at scale.
+/// The 64-bit key an event packs into: (microsecond << 20) | function id.
 ///
-/// Generators emit one packed 64-bit key per event — (microsecond << 20) |
-/// function id — into a flat arena, sort the keys with a plain std::sort
-/// (8-byte moves, no comparator indirection), and unpack into parallel
-/// columns. For tens of thousands of functions this beats building an AoS
-/// vector<TraceEvent> and stable_sorting 16-byte structs, and replaying
-/// from the columns touches half the bytes per event.
-///
-/// The packed order equals the legacy Trace order: ties at the same
-/// microsecond sort by function id, which is exactly what
-/// stable_sort-over-function-major-generation produced, and same-(at, fn)
-/// duplicates are indistinguishable. TraceArena::to_trace() is therefore
-/// byte-identical to the corresponding legacy generator output.
-struct TraceArena {
+/// Sorting keys as plain integers orders events by time, then by function
+/// id at the same microsecond — the order every generator already emits, so
+/// packing a Trace and sorting its keys reproduces its event order. The
+/// ilu-arena-v1 file stores one column of these keys (DESIGN.md §13).
+struct PackedKey {
   /// Function id width inside a packed key. Supports ~1M functions and
   /// timestamps to ~2^43 µs (about 100 days) — both asserted at pack time.
   static constexpr int kFnBits = 20;
@@ -83,22 +87,6 @@ struct TraceArena {
   static FunctionId key_fn(std::uint64_t key) {
     return static_cast<FunctionId>(key & kMaxFn);
   }
-
-  std::vector<FunctionProfile> functions;
-  /// Event columns, sorted ascending by (at_us, fn).
-  std::vector<std::int64_t> at_us;
-  std::vector<FunctionId> fn;
-  Duration duration{};
-
-  std::size_t size() const { return at_us.size(); }
-  TimePoint at(std::size_t i) const { return Duration{at_us[i]}; }
-
-  /// Sort `keys` in place and unpack them into the columns (replacing any
-  /// previous contents). functions/duration are left to the caller.
-  void adopt_keys(std::vector<std::uint64_t>& keys);
-
-  /// Materialize the equivalent AoS trace (same functions, same order).
-  Trace to_trace() const;
 };
 
 }  // namespace ilu

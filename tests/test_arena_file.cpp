@@ -1,8 +1,8 @@
 // Tests for the ilu-arena-v1 on-disk format (DESIGN.md §13): packed-key
-// round-trips, the EventView column abstraction over all three storage
-// layouts, strict-open rejection of malformed files, the deferred verify()
+// round-trips, the EventView column abstraction over in-RAM and mmap'd
+// storage, strict-open rejection of malformed files, the deferred verify()
 // integrity scan, and the determinism contract of the chunked generator
-// (byte-identical to a one-shot build_arena + write_arena_file pass).
+// (byte-identical to a one-shot build_trace + write_arena_file pass).
 
 #include "trace/arena_file.hpp"
 
@@ -19,6 +19,7 @@
 #include "trace/azure.hpp"
 #include "trace/event_view.hpp"
 #include "trace/workload.hpp"
+#include "util/hash.hpp"
 
 namespace ilu {
 namespace {
@@ -41,8 +42,10 @@ void dump(const std::string& path, const std::vector<std::uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-TraceArena tiny_arena() {
-  TraceArena a;
+/// Two events share 2 s (fn 0, then fn 1), so a round trip also checks
+/// the order of same-microsecond events.
+Trace tiny_trace() {
+  Trace t;
   FunctionProfile p0;
   p0.name = "fn_a";
   p0.mem_mb = 128;
@@ -52,16 +55,19 @@ TraceArena tiny_arena() {
   p1.name = "fn_b";
   p1.mem_mb = 512;
   p1.cpus = 2.0;
-  a.functions = {p0, p1};
-  a.duration = secs(10);
-  a.at_us = {0, 1'000'000, 2'000'000, 2'000'000, 9'999'999};
-  a.fn = {0, 1, 0, 1, 0};
-  return a;
+  t.functions = {p0, p1};
+  t.duration = secs(10);
+  t.events = {{usecs(0), 0},
+              {usecs(1'000'000), 1},
+              {usecs(2'000'000), 0},
+              {usecs(2'000'000), 1},
+              {usecs(9'999'999), 0}};
+  return t;
 }
 
 std::string write_tiny(const std::string& name) {
   auto path = tmp_path(name);
-  write_arena_file(tiny_arena(), path);
+  write_arena_file(tiny_trace(), path);
   return path;
 }
 
@@ -73,15 +79,15 @@ TEST(PackedKeys, RoundTripBoundaries) {
     FunctionId fn;
   } cases[] = {
       {0, 0},
-      {0, static_cast<FunctionId>(TraceArena::kMaxFn)},
-      {TraceArena::kMaxUs, 0},
-      {TraceArena::kMaxUs, static_cast<FunctionId>(TraceArena::kMaxFn)},
+      {0, static_cast<FunctionId>(PackedKey::kMaxFn)},
+      {PackedKey::kMaxUs, 0},
+      {PackedKey::kMaxUs, static_cast<FunctionId>(PackedKey::kMaxFn)},
       {123'456'789, 54321},
   };
   for (const auto& c : cases) {
-    std::uint64_t k = TraceArena::pack(TimePoint{c.at_us}, c.fn);
-    EXPECT_EQ(TraceArena::key_at(k).count(), c.at_us);
-    EXPECT_EQ(TraceArena::key_fn(k), c.fn);
+    std::uint64_t k = PackedKey::pack(TimePoint{c.at_us}, c.fn);
+    EXPECT_EQ(PackedKey::key_at(k).count(), c.at_us);
+    EXPECT_EQ(PackedKey::key_fn(k), c.fn);
   }
 }
 
@@ -89,37 +95,39 @@ TEST(PackedKeys, SortOrderIsTimeMajor) {
   // Same timestamp sorts by fn; later timestamp always sorts after, even
   // with a smaller fn.
   auto k = [](std::int64_t us, FunctionId fn) {
-    return TraceArena::pack(TimePoint{us}, fn);
+    return PackedKey::pack(TimePoint{us}, fn);
   };
   EXPECT_LT(k(5, 1), k(5, 2));
-  EXPECT_LT(k(5, static_cast<FunctionId>(TraceArena::kMaxFn)), k(6, 0));
+  EXPECT_LT(k(5, static_cast<FunctionId>(PackedKey::kMaxFn)), k(6, 0));
 }
 
 // ---------------------------------------------------------------- EventView
 
 TEST(EventViewLayouts, AllThreeLayoutsAgree) {
-  TraceArena arena = tiny_arena();
-  Trace trace;
-  trace.functions = arena.functions;
-  trace.duration = arena.duration;
-  for (std::size_t i = 0; i < arena.size(); ++i)
-    trace.events.push_back({arena.at(i), arena.fn[i]});
+  // The AoS trace, its packed keys in RAM, and the same keys mmap'd from a
+  // file written from the trace.
+  Trace trace = tiny_trace();
   std::vector<std::uint64_t> keys;
-  for (std::size_t i = 0; i < arena.size(); ++i)
-    keys.push_back(TraceArena::pack(arena.at(i), arena.fn[i]));
+  for (const TraceEvent& e : trace.events)
+    keys.push_back(PackedKey::pack(e.at, e.fn));
+  auto path = write_tiny("ilu_layouts.arena");
+  ArenaFile file(path);
 
   EventView aos(trace);
-  EventView soa(arena);
   EventView packed = EventView::packed(keys.data(), keys.size());
-  ASSERT_EQ(aos.size(), arena.size());
-  ASSERT_EQ(soa.size(), arena.size());
-  ASSERT_EQ(packed.size(), arena.size());
-  for (std::size_t i = 0; i < arena.size(); ++i) {
-    EXPECT_EQ(aos.at(i), soa.at(i)) << i;
+  EventView mapped = file.view();
+  ASSERT_EQ(aos.size(), trace.events.size());
+  ASSERT_EQ(packed.size(), trace.events.size());
+  ASSERT_EQ(mapped.size(), trace.events.size());
+  for (std::size_t i = 0; i < trace.events.size(); ++i) {
+    EXPECT_EQ(aos.at(i), trace.events[i].at) << i;
+    EXPECT_EQ(aos.fn(i), trace.events[i].fn) << i;
     EXPECT_EQ(aos.at(i), packed.at(i)) << i;
-    EXPECT_EQ(aos.fn(i), soa.fn(i)) << i;
     EXPECT_EQ(aos.fn(i), packed.fn(i)) << i;
+    EXPECT_EQ(aos.at(i), mapped.at(i)) << i;
+    EXPECT_EQ(aos.fn(i), mapped.fn(i)) << i;
   }
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------- round trip
@@ -138,14 +146,21 @@ TEST(ArenaFile, RoundTripPreservesEverything) {
   EXPECT_EQ(f.functions()[0].init_time, secs(2));
   f.verify();  // full integrity scan must pass on a fresh file
 
-  TraceArena back = f.to_arena();
-  TraceArena orig = tiny_arena();
-  ASSERT_EQ(back.size(), orig.size());
-  for (std::size_t i = 0; i < orig.size(); ++i) {
-    EXPECT_EQ(back.at(i), orig.at(i)) << i;
-    EXPECT_EQ(back.fn[i], orig.fn[i]) << i;
+  Trace back = f.to_trace();
+  Trace orig = tiny_trace();
+  EXPECT_EQ(back.duration, orig.duration);
+  ASSERT_EQ(back.functions.size(), orig.functions.size());
+  ASSERT_EQ(back.events.size(), orig.events.size());
+  for (std::size_t i = 0; i < orig.events.size(); ++i) {
+    EXPECT_EQ(back.events[i].at, orig.events[i].at) << i;
+    EXPECT_EQ(back.events[i].fn, orig.events[i].fn) << i;
   }
   std::remove(path.c_str());
+}
+
+TEST(ArenaFile, MissingFileThrows) {
+  EXPECT_THROW(ArenaFile f(tmp_path("ilu_no_such_file.arena")),
+               std::runtime_error);
 }
 
 TEST(ArenaFile, ViewMatchesAccessors) {
@@ -171,19 +186,18 @@ TEST(ArenaFile, KeyColumnIsPageAligned) {
 TEST(ArenaFile, ReleaseKeysBeforeKeepsDataReadable) {
   // Build a file big enough to span several pages so the madvise path
   // actually fires, then release mid-column and re-read everything.
-  TraceArena a;
+  Trace t;
   FunctionProfile p;
   p.name = "f";
   p.warm_time = msecs(1);
   p.init_time = msecs(2);
-  a.functions = {p};
+  t.functions = {p};
   for (std::int64_t i = 0; i < 4096; ++i) {
-    a.at_us.push_back(i * 1000);
-    a.fn.push_back(0);
+    t.events.push_back({usecs(i * 1000), 0});
   }
-  a.duration = secs(10);
+  t.duration = secs(10);
   auto path = tmp_path("ilu_release.arena");
-  write_arena_file(a, path);
+  write_arena_file(t, path);
 
   ArenaFile f(path);
   for (std::size_t i = 0; i < f.size(); ++i)
@@ -207,8 +221,8 @@ TEST(ArenaFileWriter, RejectsOutOfOrderKeys) {
   FunctionProfile p;
   p.name = "f";
   w.begin({p}, secs(1));
-  std::uint64_t keys[] = {TraceArena::pack(TimePoint{5}, 0),
-                          TraceArena::pack(TimePoint{3}, 0)};
+  std::uint64_t keys[] = {PackedKey::pack(TimePoint{5}, 0),
+                          PackedKey::pack(TimePoint{3}, 0)};
   EXPECT_THROW(w.append_keys(keys, 2), std::logic_error);
   std::remove(path.c_str());
 }
@@ -219,7 +233,7 @@ TEST(ArenaFileWriter, RejectsUnknownFunction) {
   FunctionProfile p;
   p.name = "f";
   w.begin({p}, secs(1));
-  std::uint64_t key = TraceArena::pack(TimePoint{1}, 1);  // only fn 0 exists
+  std::uint64_t key = PackedKey::pack(TimePoint{1}, 1);  // only fn 0 exists
   EXPECT_THROW(w.append_keys(&key, 1), std::logic_error);
   std::remove(path.c_str());
 }
@@ -282,6 +296,35 @@ TEST_F(ArenaFileCorruption, CorruptHeaderFieldFailsMetaChecksum) {
   expect_open_throws();
 }
 
+// 2^61 keys of 8 bytes is 2^64 bytes, which wraps to 0: a file whose key
+// column is cut off entirely must not pass the exact-size check with that
+// count, even with a valid meta checksum.
+TEST_F(ArenaFileCorruption, EventCountWrapsKeyColumnSize) {
+  auto get_u64 = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    for (int b = 0; b < 8; ++b) {
+      v |= static_cast<std::uint64_t>(bytes_[off + b]) << (8 * b);
+    }
+    return v;
+  };
+  auto put_u64 = [&](std::size_t off, std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      bytes_[off + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
+  };
+  // Header field offsets (arena_file.hpp).
+  constexpr std::size_t kNumEventsAt = 24, kKeysOffsetAt = 40,
+                        kMetaChecksumAt = 56;
+  const std::uint64_t keys_offset = get_u64(kKeysOffsetAt);
+  ASSERT_LT(keys_offset, bytes_.size());
+  bytes_.resize(keys_offset);
+  put_u64(kNumEventsAt, 1ull << 61);
+  // The meta checksum covers [0, keys_offset) with its own field zeroed.
+  put_u64(kMetaChecksumAt, 0);
+  put_u64(kMetaChecksumAt, fnv1a64_bytes(bytes_.data(), bytes_.size()));
+  expect_open_throws();
+}
+
 // Key-column damage passes the O(functions) open but must fail verify().
 TEST_F(ArenaFileCorruption, FlippedKeyByteFailsVerify) {
   bytes_[bytes_.size() - 1] ^= 0x01;  // top byte of the last key
@@ -317,7 +360,7 @@ TEST(ArenaGen, ChunkedFileByteIdenticalToOneShot) {
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
   auto one_shot = tmp_path("ilu_gen_oneshot.arena");
-  write_arena_file(model.build_arena(idx, 1.0), one_shot);
+  write_arena_file(model.build_trace(idx, 1.0), one_shot);
 
   // Deliberately awkward chunk size (not a divisor of 600) to exercise the
   // short final chunk and a real k-way merge.
@@ -347,7 +390,7 @@ TEST(ArenaGen, SingleChunkFastPathMatchesToo) {
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
 
   auto one_shot = tmp_path("ilu_gen_oneshot2.arena");
-  write_arena_file(model.build_arena(idx, 1.0), one_shot);
+  write_arena_file(model.build_trace(idx, 1.0), one_shot);
   auto single = tmp_path("ilu_gen_single.arena");
   auto stats = generate_arena_file(model, idx, 1.0, single);  // default chunk > 200
   EXPECT_EQ(stats.chunks, 1u);

@@ -181,32 +181,5 @@ TEST(AzureModelEdge, SampleMoreThanPopulationClamps) {
   EXPECT_EQ(t.functions.size(), 10u);
 }
 
-TEST_F(AzureModelTest, ArenaSamplersMatchTraceSamplers) {
-  // The SoA arena path must be event-for-event identical to the AoS path:
-  // the sharded bench relies on replaying an arena in place of a trace.
-  struct Pair {
-    Trace trace;
-    TraceArena arena;
-  };
-  const double rps = 15.0;
-  for (const auto& [t, a] :
-       {Pair{model_.sample_rare(30, rps), model_.sample_rare_arena(30, rps)},
-        Pair{model_.sample_representative(30, rps),
-             model_.sample_representative_arena(30, rps)},
-        Pair{model_.sample_random(30, rps),
-             model_.sample_random_arena(30, rps)}}) {
-    ASSERT_EQ(a.size(), t.events.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a.at(i), t.events[i].at) << "event " << i;
-      ASSERT_EQ(a.fn[i], t.events[i].fn) << "event " << i;
-    }
-    ASSERT_EQ(a.functions.size(), t.functions.size());
-    for (std::size_t i = 0; i < a.functions.size(); ++i) {
-      EXPECT_EQ(a.functions[i].name, t.functions[i].name);
-    }
-    EXPECT_EQ(a.duration, t.duration);
-  }
-}
-
 }  // namespace
 }  // namespace ilu

@@ -179,7 +179,6 @@ TEST_F(ContainerPoolTest, OnlyUsedContainersAskForPrewarmOnExpiry) {
   pool.return_container(used, secs(1));
   ContainerHandle parked =
       pool.add_container(1, lookbusy(secs(1), 100, secs(1)), rt_.now());
-  pool.get(parked).state = ContainerState::Launching;
   pool.park_prewarmed(parked, secs(1));
   pool.sweep(secs(10));
   EXPECT_EQ(pool.expirations(), 2u);
@@ -205,7 +204,6 @@ TEST_F(ContainerPoolTest, ShrinkCapacityEvictsIdle) {
 TEST_F(ContainerPoolTest, ParkPrewarmedMakesIdle) {
   auto profile = lookbusy(secs(1), 200, secs(1));
   ContainerHandle c = pool_.add_container(3, profile, rt_.now());
-  pool_.get(c).state = ContainerState::Launching;
   pool_.park_prewarmed(c, rt_.now());
   EXPECT_TRUE(pool_.has_idle(3));
   EXPECT_EQ(pool_.acquire(3, rt_.now()), c);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <utility>
+
 #include "runtime/sim_runtime.hpp"
+#include "trace/arena_file.hpp"
 #include "trace/function_profile.hpp"
 
 namespace ilu {
@@ -161,42 +166,6 @@ TEST(SyntheticTrace, MergesMultipleFunctionsSorted) {
   EXPECT_TRUE(saw_both);
 }
 
-TEST(TraceArena, PackRoundTripsAndSortsLikeStableSort) {
-  auto profiles = function_bench();
-  profiles.resize(4);
-  std::vector<SyntheticFunctionSpec> specs;
-  for (const auto& p : profiles) {
-    specs.push_back({.profile = p, .mean_iat = secs(0.5), .exponential = true});
-  }
-  auto trace = make_synthetic_trace(specs, secs(30), 7);
-  auto arena = make_synthetic_arena(specs, secs(30), 7);
-
-  ASSERT_EQ(arena.size(), trace.events.size());
-  for (std::size_t i = 0; i < arena.size(); ++i) {
-    EXPECT_EQ(arena.at(i), trace.events[i].at) << "event " << i;
-    EXPECT_EQ(arena.fn[i], trace.events[i].fn) << "event " << i;
-  }
-  EXPECT_EQ(arena.functions.size(), trace.functions.size());
-  EXPECT_EQ(arena.duration, trace.duration);
-}
-
-TEST(TraceArena, ToTraceMaterializesIdenticalEvents) {
-  auto profiles = function_bench();
-  profiles.resize(3);
-  std::vector<SyntheticFunctionSpec> specs;
-  for (const auto& p : profiles) {
-    specs.push_back({.profile = p, .mean_iat = secs(1.0), .exponential = true});
-  }
-  auto trace = make_synthetic_trace(specs, secs(20), 11);
-  auto round = make_synthetic_arena(specs, secs(20), 11).to_trace();
-  ASSERT_EQ(round.events.size(), trace.events.size());
-  for (std::size_t i = 0; i < round.events.size(); ++i) {
-    EXPECT_EQ(round.events[i].at, trace.events[i].at);
-    EXPECT_EQ(round.events[i].fn, trace.events[i].fn);
-  }
-  EXPECT_TRUE(round.valid());
-}
-
 TEST(OpenLoopDriver, ArenaReplayMatchesTraceReplay) {
   auto profiles = function_bench();
   profiles.resize(3);
@@ -205,21 +174,31 @@ TEST(OpenLoopDriver, ArenaReplayMatchesTraceReplay) {
     specs.push_back({.profile = p, .mean_iat = secs(0.8), .exponential = true});
   }
   auto trace = make_synthetic_trace(specs, secs(15), 5);
-  auto arena = make_synthetic_arena(specs, secs(15), 5);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "ilu_loadgen_replay.arena")
+          .string();
+  write_arena_file(trace, path);
+  ArenaFile arena(path);
 
-  auto replay = [](auto&& start) {
+  auto replay = [](EventView view) {
     SimRuntime rt;
-    std::vector<TimePoint> submits;
-    OpenLoopDriver d(rt, instant_invoker(rt, &submits));
-    start(d);
+    std::vector<std::pair<TimePoint, FunctionId>> submits;
+    InvokeFn instant = instant_invoker(rt, nullptr);
+    OpenLoopDriver d(rt, [&](FunctionId fn,
+                             std::function<void(const InvokeResult&)> cb) {
+      submits.emplace_back(rt.now(), fn);
+      instant(fn, std::move(cb));
+    });
+    d.start(view);
     rt.run();
     EXPECT_TRUE(d.done());
     return submits;
   };
-  auto from_trace = replay([&](OpenLoopDriver& d) { d.start(trace); });
-  auto from_arena = replay([&](OpenLoopDriver& d) { d.start(arena); });
+  auto from_trace = replay(EventView(trace));
+  auto from_arena = replay(arena.view());
   ASSERT_EQ(from_trace.size(), trace.events.size());
   EXPECT_EQ(from_arena, from_trace);
+  std::remove(path.c_str());
 }
 
 TEST(CyclicTrace, RotatesThroughFunctions) {

@@ -1,4 +1,4 @@
-// Death tests for TraceArena::pack's bounds checks. The packed key format
+// Death tests for PackedKey::pack's bounds checks. The packed key format
 // silently truncates out-of-range inputs in release builds (documented and
 // benign for the generators, which clamp first), so the only line of
 // defense against a corrupting caller is the ILU_DCHECK pair in pack() —
@@ -25,26 +25,26 @@ class PackGuardDeathTest : public ::testing::Test {
 
 TEST_F(PackGuardDeathTest, InBoundsExtremesSurvive) {
   std::uint64_t k =
-      TraceArena::pack(TimePoint{TraceArena::kMaxUs},
-                       static_cast<FunctionId>(TraceArena::kMaxFn));
-  EXPECT_EQ(TraceArena::key_at(k).count(), TraceArena::kMaxUs);
-  EXPECT_EQ(TraceArena::key_fn(k), TraceArena::kMaxFn);
+      PackedKey::pack(TimePoint{PackedKey::kMaxUs},
+                       static_cast<FunctionId>(PackedKey::kMaxFn));
+  EXPECT_EQ(PackedKey::key_at(k).count(), PackedKey::kMaxUs);
+  EXPECT_EQ(PackedKey::key_fn(k), PackedKey::kMaxFn);
 }
 
 TEST_F(PackGuardDeathTest, NegativeTimeAborts) {
-  EXPECT_DEATH(TraceArena::pack(TimePoint{-1}, 0),
+  EXPECT_DEATH(PackedKey::pack(TimePoint{-1}, 0),
                "event time out of packed-key range");
 }
 
 TEST_F(PackGuardDeathTest, TimePastMaxAborts) {
-  EXPECT_DEATH(TraceArena::pack(TimePoint{TraceArena::kMaxUs + 1}, 0),
+  EXPECT_DEATH(PackedKey::pack(TimePoint{PackedKey::kMaxUs + 1}, 0),
                "event time out of packed-key range");
 }
 
 TEST_F(PackGuardDeathTest, FunctionIdPastMaxAborts) {
-  EXPECT_DEATH(TraceArena::pack(
+  EXPECT_DEATH(PackedKey::pack(
                    TimePoint{0},
-                   static_cast<FunctionId>(TraceArena::kMaxFn + 1)),
+                   static_cast<FunctionId>(PackedKey::kMaxFn + 1)),
                "function id out of packed-key range");
 }
 

@@ -37,7 +37,6 @@ TEST(PoolInvariants, RandomChurnKeepsValidatorGreen) {
       auto profile = lookbusy(msecs(100), 100 + 50 * (fn % 4), msecs(500));
       ContainerHandle c = pool.add_container(fn, profile, now);
       if (c.valid()) {
-        pool.get(c).state = ContainerState::Launching;
         pool.get(c).state = ContainerState::Running;
         running.push_back(c);
       }
@@ -45,7 +44,6 @@ TEST(PoolInvariants, RandomChurnKeepsValidatorGreen) {
       auto profile = lookbusy(msecs(100), 120, msecs(500));
       ContainerHandle c = pool.add_container(fn, profile, now);
       if (c.valid()) {
-        pool.get(c).state = ContainerState::Launching;
         pool.park_prewarmed(c, now);
       }
     } else if (dice < 0.90 && !running.empty()) {
@@ -94,7 +92,6 @@ TEST(PoolInvariants, ExpirySweepKeepsValidatorGreen) {
       ContainerHandle c =
           pool.add_container(fn, lookbusy(msecs(50), 128, msecs(100)), base);
       ASSERT_TRUE(c.valid());
-      pool.get(c).state = ContainerState::Launching;
       pool.get(c).state = ContainerState::Running;
       pool.return_container(c, base);
     }
@@ -147,7 +144,6 @@ TEST(PoolInvariants, SteadyStateChurnDoesNotGrowSlab) {
   for (int i = 0; i < 16; ++i) {
     ContainerHandle c =
         pool.add_container(static_cast<FunctionId>(i % 4), profile, usecs(i));
-    pool.get(c).state = ContainerState::Launching;
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, usecs(i));
   }
@@ -158,7 +154,6 @@ TEST(PoolInvariants, SteadyStateChurnDoesNotGrowSlab) {
     ContainerHandle c = pool.add_container(static_cast<FunctionId>(i % 4),
                                            profile, usecs(100 + i));
     ASSERT_TRUE(c.valid());
-    pool.get(c).state = ContainerState::Launching;
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, usecs(100 + i));
   }

@@ -54,7 +54,6 @@ TEST(PoolZeroAlloc, WarmAcquireReturnDoesNotAllocate) {
     ContainerHandle c =
         pool.add_container(static_cast<FunctionId>(i), profile, usecs(i));
     ASSERT_TRUE(c.valid());
-    pool.get(c).state = ContainerState::Launching;
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, usecs(i));
   }
@@ -94,7 +93,6 @@ TEST(PoolZeroAlloc, SteadyStateAddEvictChurnDoesNotAllocate) {
     ContainerHandle c = pool.add_container(static_cast<FunctionId>(i % kFns),
                                            profile, usecs(i));
     ASSERT_TRUE(c.valid());
-    pool.get(c).state = ContainerState::Launching;
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, usecs(i));
   }
@@ -107,7 +105,6 @@ TEST(PoolZeroAlloc, SteadyStateAddEvictChurnDoesNotAllocate) {
                                            profile, usecs(t));
     all_valid = all_valid && c.valid();
     if (c.valid()) {
-      pool.get(c).state = ContainerState::Launching;
       pool.get(c).state = ContainerState::Running;
       pool.return_container(c, usecs(t + 1));
     }

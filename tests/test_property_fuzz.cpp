@@ -162,7 +162,6 @@ TEST(FuzzContainerPool, RandomOpsPreserveInvariants) {
           lookbusy(msecs(100), 100 + 37 * (fn % 5), msecs(500));
       ContainerHandle c = pool.add_container(fn, profile, now);
       if (c.valid()) {
-        pool.get(c).state = ContainerState::Launching;
         pool.get(c).state = ContainerState::Running;
         running.push_back(c);
         ++created;

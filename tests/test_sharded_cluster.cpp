@@ -18,7 +18,7 @@
 namespace ilu {
 namespace {
 
-TraceArena small_cluster_arena() {
+Trace small_cluster_trace() {
   AzureModelConfig cfg;
   cfg.population = 1500;
   cfg.days = 0.05;
@@ -30,7 +30,7 @@ TraceArena small_cluster_arena() {
   cfg.min_init_s = 0.05;
   cfg.max_init_s = 2.0;
   AzureTraceModel model(cfg);
-  return model.sample_random_arena(40, /*target_rps=*/3.0);
+  return model.sample_random(40, /*target_rps=*/3.0);
 }
 
 struct RunResult {
@@ -42,7 +42,7 @@ struct RunResult {
   std::uint64_t windows = 0;
 };
 
-RunResult run_cluster(std::size_t shards, const TraceArena& arena,
+RunResult run_cluster(std::size_t shards, const Trace& trace,
                       LbPolicy lb,
                       Placement placement = Placement::kRoundRobin,
                       Duration slice = secs(30)) {
@@ -55,7 +55,7 @@ RunResult run_cluster(std::size_t shards, const TraceArena& arena,
 
   ShardedRuntime srt(shards, cfg.rpc.lower_bound());
   Cluster cluster(srt, cfg);
-  for (const auto& f : arena.functions) cluster.register_function(f);
+  for (const auto& f : trace.functions) cluster.register_function(f);
   cluster.start();
 
   OpenLoopDriver d(srt.shard(0),
@@ -63,12 +63,12 @@ RunResult run_cluster(std::size_t shards, const TraceArena& arena,
                        std::function<void(const InvokeResult&)> cb) {
                      cluster.invoke(fn, std::move(cb));
                    });
-  d.start(arena);
+  d.start(trace);
   while (!d.done()) srt.run_for(slice);
   cluster.shutdown();
 
   std::vector<std::string> names;
-  for (const auto& f : arena.functions) names.push_back(f.name);
+  for (const auto& f : trace.functions) names.push_back(f.name);
   ExperimentReport rep(std::move(names));
   rep.add_all(d.results());
 
@@ -85,14 +85,14 @@ RunResult run_cluster(std::size_t shards, const TraceArena& arena,
 }
 
 TEST(ShardedCluster, ReportsByteIdenticalAtAnyShardCount) {
-  auto arena = small_cluster_arena();
-  auto serial = run_cluster(1, arena, LbPolicy::ChBl);
+  auto trace = small_cluster_trace();
+  auto serial = run_cluster(1, trace, LbPolicy::ChBl);
   ASSERT_FALSE(serial.report_json.empty());
   EXPECT_EQ(serial.windows, 0u);  // 1 shard takes the fast path
 
   for (Placement placement : {Placement::kRoundRobin, Placement::kLocality}) {
     for (std::size_t shards : {2u, 4u}) {
-      auto sharded = run_cluster(shards, arena, LbPolicy::ChBl, placement);
+      auto sharded = run_cluster(shards, trace, LbPolicy::ChBl, placement);
       EXPECT_EQ(sharded.report_json, serial.report_json)
           << "report diverged at " << shards << " shards, "
           << to_string(placement) << " placement";
@@ -109,10 +109,10 @@ TEST(ShardedCluster, ShortSlicesMatchAndReuseFlightRings) {
   // Every run_for on a 2-shard runtime starts a fresh thread for shard 1.
   // Slicing must not change the simulation, and each exiting shard thread
   // must hand its flight ring back for the next one to reuse.
-  auto arena = small_cluster_arena();
-  auto coarse = run_cluster(2, arena, LbPolicy::ChBl);
+  auto trace = small_cluster_trace();
+  auto coarse = run_cluster(2, trace, LbPolicy::ChBl);
   const std::size_t rings_before = flight::Recorder::instance().ring_count();
-  auto fine = run_cluster(2, arena, LbPolicy::ChBl, Placement::kRoundRobin,
+  auto fine = run_cluster(2, trace, LbPolicy::ChBl, Placement::kRoundRobin,
                           secs(1));
   EXPECT_EQ(fine.report_json, coarse.report_json);
   EXPECT_EQ(fine.routed, coarse.routed);
@@ -147,19 +147,18 @@ TEST(ShardedCluster, AssignShardsLocalityIsABalancedPartition) {
 }
 
 TEST(ShardedCluster, EquivalenceHoldsForEveryPolicy) {
-  auto arena = small_cluster_arena();
+  auto trace = small_cluster_trace();
   for (LbPolicy lb :
        {LbPolicy::ChBl, LbPolicy::RoundRobin, LbPolicy::LeastLoaded}) {
-    auto serial = run_cluster(1, arena, lb);
-    auto sharded = run_cluster(3, arena, lb);
+    auto serial = run_cluster(1, trace, lb);
+    auto sharded = run_cluster(3, trace, lb);
     EXPECT_EQ(sharded.report_json, serial.report_json);
     EXPECT_EQ(sharded.routed, serial.routed);
   }
 }
 
 TEST(ShardedCluster, LegacySingleRuntimeStillWorks) {
-  auto arena = small_cluster_arena();
-  auto trace = arena.to_trace();
+  auto trace = small_cluster_trace();
 
   SimRuntime rt;
   ClusterConfig cfg;

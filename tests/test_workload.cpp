@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
 #include "trace/function_profile.hpp"
-#include "trace/trace_io.hpp"
 
 namespace ilu {
 namespace {
@@ -92,27 +88,6 @@ TEST(TraceValid, DetectsBadFunctionId) {
   auto t = tiny_trace();
   t.events.push_back({secs(9), 7});
   EXPECT_FALSE(t.valid());
-}
-
-TEST(TraceIo, RoundTrip) {
-  auto t = tiny_trace();
-  auto prefix = (std::filesystem::temp_directory_path() / "ilu_trace_test")
-                    .string();
-  save_trace(t, prefix);
-  auto loaded = load_trace(prefix);
-  EXPECT_EQ(loaded.duration, t.duration);
-  ASSERT_EQ(loaded.functions.size(), t.functions.size());
-  EXPECT_EQ(loaded.functions[1].mem_mb, 256u);
-  EXPECT_EQ(loaded.functions[0].warm_time, msecs(100));
-  ASSERT_EQ(loaded.events.size(), t.events.size());
-  EXPECT_EQ(loaded.events[3].at, secs(3));
-  EXPECT_EQ(loaded.events[1].fn, 1u);
-  std::remove((prefix + "_functions.csv").c_str());
-  std::remove((prefix + "_events.csv").c_str());
-}
-
-TEST(TraceIo, LoadMissingThrows) {
-  EXPECT_THROW(load_trace("/nonexistent/prefix"), std::runtime_error);
 }
 
 }  // namespace
