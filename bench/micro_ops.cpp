@@ -213,16 +213,24 @@ void BM_ContainerPoolAcquireReturn(benchmark::State& state) {
 BENCHMARK(BM_ContainerPoolAcquireReturn);
 
 void BM_ChblPick(benchmark::State& state) {
-  ChblBalancer lb(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> loads(state.range(0), 3.0);
-  int k = 0;
+  // Routing only: 512 keys hashed once up front, as Cluster does at
+  // registration, and a constant load sum.
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  ChblBalancer lb(workers);
+  std::vector<double> loads(workers, 3.0);
+  const double load_sum = 3.0 * static_cast<double>(workers);
+  std::vector<std::uint64_t> keys;
+  for (int k = 0; k < 512; ++k) {
+    keys.push_back(
+        ConsistentHashRing::hash_key("function_" + std::to_string(k)));
+  }
+  std::size_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        lb.pick("function_" + std::to_string(k++ % 512), loads));
+    benchmark::DoNotOptimize(lb.pick(keys[k++ % keys.size()], loads, load_sum));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ChblPick)->Arg(8)->Arg(64);
+BENCHMARK(BM_ChblPick)->Arg(8)->Arg(64)->Arg(1024);
 
 void BM_CpuModelSubmit(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,10 +1,10 @@
 #include "containers/cpu_model.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <utility>
-#include <vector>
 
 namespace ilu {
 
@@ -48,7 +48,7 @@ void CpuModel::advance() {
   double dt = to_sec(now - last_advance_);
   last_advance_ = now;
   if (dt <= 0.0 || tasks_.empty()) return;
-  for (auto& [id, t] : tasks_) {
+  for (RunningTask& t : tasks_) {
     t.remaining -= t.rate * dt;
     if (t.remaining < 0.0) t.remaining = 0.0;
   }
@@ -62,7 +62,7 @@ void CpuModel::recompute_and_schedule() {
   if (tasks_.empty()) return;
 
   double min_eta = std::numeric_limits<double>::infinity();
-  for (auto& [id, t] : tasks_) {
+  for (RunningTask& t : tasks_) {
     t.rate = rate_for(t.weight);
     double eta = t.rate > 0.0 ? t.remaining / t.rate : 0.0;
     if (eta < min_eta) min_eta = eta;
@@ -77,20 +77,27 @@ void CpuModel::recompute_and_schedule() {
 void CpuModel::on_completion_event() {
   completion_timer_ = Runtime::kInvalidTimer;
   advance();
-  std::vector<Runtime::Task> done;
-  for (auto it = tasks_.begin(); it != tasks_.end();) {
-    if (it->second.remaining <= kWorkEpsilon) {
-      done.push_back(std::move(it->second.on_complete));
-      total_weight_ -= it->second.weight;
-      it = tasks_.erase(it);
+  // One order-preserving compaction: finished tasks hand over their
+  // callbacks (in TaskId order), survivors slide down over them.
+  done_scratch_.clear();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    RunningTask& t = tasks_[i];
+    if (t.remaining <= kWorkEpsilon) {
+      done_scratch_.push_back(std::move(t.on_complete));
+      total_weight_ -= t.weight;
     } else {
-      ++it;
+      if (kept != i) tasks_[kept] = std::move(t);
+      ++kept;
     }
   }
+  tasks_.resize(kept);
   if (total_weight_ < 0.0) total_weight_ = 0.0;
-  if (observer_ && !done.empty()) observer_(rt_.now(), total_weight_);
+  if (observer_ && !done_scratch_.empty()) observer_(rt_.now(), total_weight_);
   recompute_and_schedule();
-  for (auto& cb : done) {
+  // post() never runs a task inline, so nothing can re-enter this event
+  // while the scratch vector is being drained.
+  for (auto& cb : done_scratch_) {
     rt_.post(std::move(cb));
   }
 }
@@ -100,11 +107,11 @@ CpuModel::TaskId CpuModel::submit(double work_seconds, double weight,
   assert(work_seconds >= 0.0 && weight > 0.0);
   advance();
   TaskId id = next_id_++;
-  RunningTask t;
+  RunningTask& t = tasks_.emplace_back();
+  t.id = id;
   t.remaining = work_seconds;
   t.weight = weight;
   t.on_complete = std::move(on_complete);
-  tasks_.emplace(id, std::move(t));
   total_weight_ += weight;
   if (observer_) observer_(rt_.now(), total_weight_);
   recompute_and_schedule();
@@ -112,10 +119,12 @@ CpuModel::TaskId CpuModel::submit(double work_seconds, double weight,
 }
 
 bool CpuModel::cancel(TaskId id) {
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return false;
+  auto it = std::lower_bound(
+      tasks_.begin(), tasks_.end(), id,
+      [](const RunningTask& t, TaskId want) { return t.id < want; });
+  if (it == tasks_.end() || it->id != id) return false;
   advance();
-  total_weight_ -= it->second.weight;
+  total_weight_ -= it->weight;
   if (total_weight_ < 0.0) total_weight_ = 0.0;
   tasks_.erase(it);
   if (observer_) observer_(rt_.now(), total_weight_);

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "runtime/runtime.hpp"
 
@@ -61,6 +61,7 @@ class CpuModel {
 
  private:
   struct RunningTask {
+    TaskId id = 0;
     double remaining = 0.0;  // core-seconds
     double weight = 1.0;
     double rate = 0.0;  // cores currently allocated
@@ -79,11 +80,14 @@ class CpuModel {
   double cores_;
   double load_tau_;
 
-  /// Ordered by TaskId (= submission order): completion callbacks collected
-  /// while sweeping this map fire in a deterministic order, which an
-  /// unordered_map would leak hash-layout order into. Sweeps are O(running
-  /// tasks), a handful per worker, so the tree costs nothing measurable.
-  std::map<TaskId, RunningTask> tasks_;
+  /// Running tasks in TaskId (= submission) order: ids only grow, so submit
+  /// appends and a completion compacts in place without reordering. Both
+  /// sweeps and the order completion callbacks fire in follow this order,
+  /// which keeps every run deterministic.
+  std::vector<RunningTask> tasks_;
+  /// Completion callbacks collected by one completion event; a member so
+  /// steady-state completions reuse its capacity.
+  std::vector<Runtime::Task> done_scratch_;
   TaskId next_id_ = 1;
   double total_weight_ = 0.0;
   TimePoint last_advance_{};

@@ -34,8 +34,9 @@ struct CacheEntry {
 /// Interface for keep-alive (container cache) policies.
 ///
 /// Contract mirrors the Rust trait in the paper's implementation: policies
-/// are pure priority computations plus optional TTL expiry and prewarm
-/// prediction, which is why a new policy is only a few dozen lines (§6.1).
+/// are pure priority computations plus optional TTL expiry (ExpiringPolicy
+/// below) and prewarm prediction, which is why a new policy is only a few
+/// dozen lines (§6.1).
 class KeepAlivePolicy {
  public:
   virtual ~KeepAlivePolicy() = default;
@@ -56,13 +57,6 @@ class KeepAlivePolicy {
   /// Called when an entry is evicted (Greedy-Dual aging updates L here).
   virtual void on_evict(const CacheEntry& entry) { (void)entry; }
 
-  /// For non-work-conserving policies (TTL, HIST): absolute time at which
-  /// this idle entry should be removed even if memory is not needed.
-  virtual std::optional<TimePoint> expires_at(const CacheEntry& entry) const {
-    (void)entry;
-    return std::nullopt;
-  }
-
   /// Per-function arrival notification, independent of cache contents.
   /// HIST uses this to maintain inter-arrival-time histograms.
   virtual void on_invocation(FunctionId fn, TimePoint now) {
@@ -80,9 +74,21 @@ class KeepAlivePolicy {
   }
 };
 
+/// A non-work-conserving policy (TTL, HIST): idle containers expire even
+/// when memory is not needed. Expiry is a capability a policy has by type,
+/// so the pool's expiry scan runs only for policies deriving from this
+/// class, and a policy that defines expires_at cannot forget to opt in.
+class ExpiringPolicy : public KeepAlivePolicy {
+ public:
+  /// Absolute time at which this idle entry should be removed, or nullopt
+  /// to keep it until memory is needed.
+  virtual std::optional<TimePoint> expires_at(
+      const CacheEntry& entry) const = 0;
+};
+
 /// OpenWhisk's default: keep each container for a fixed TTL after last use
 /// (10 minutes by default); under memory pressure evict in LRU order.
-class TtlPolicy final : public KeepAlivePolicy {
+class TtlPolicy final : public ExpiringPolicy {
  public:
   explicit TtlPolicy(Duration ttl = mins(10)) : ttl_(ttl) {}
   std::string name() const override { return "TTL"; }
@@ -172,7 +178,7 @@ class LandlordPolicy final : public KeepAlivePolicy {
 ///  - unpredictable functions: a generic 2-hour TTL,
 ///  - the ARIMA path for >4h IATs is intentionally not implemented (the
 ///    paper skips it too; ~0.56% of invocations).
-class HistPolicy final : public KeepAlivePolicy {
+class HistPolicy final : public ExpiringPolicy {
  public:
   struct Params {
     Duration bucket = mins(1);

@@ -10,6 +10,7 @@ ContainerPool::ContainerPool(Runtime& rt, KeepAlivePolicy& policy, Config cfg,
                              EvictFn on_evict)
     : rt_(rt),
       policy_(policy),
+      expiring_(dynamic_cast<const ExpiringPolicy*>(&policy)),
       cfg_(cfg),
       on_evict_(std::move(on_evict)),
       capacity_mb_(cfg.capacity_mb) {}
@@ -214,13 +215,16 @@ void ContainerPool::set_capacity_mb(std::uint64_t mb) {
 
 void ContainerPool::sweep(TimePoint now) {
   // Phase 1: policy-driven expiry (TTL and friends), visiting idle
-  // containers in canonical slab order.
+  // containers in canonical slab order. Policies that cannot expire have
+  // nothing to find, so they skip the scan.
   expired_scratch_.clear();
-  store_.for_each([&](ContainerHandle h, Container& c) {
-    if (c.state != ContainerState::Idle) return;
-    auto exp = policy_.expires_at(c.entry);
-    if (exp.has_value() && *exp <= now) expired_scratch_.push_back(h);
-  });
+  if (expiring_ != nullptr) {
+    store_.for_each([&](ContainerHandle h, Container& c) {
+      if (c.state != ContainerState::Idle) return;
+      auto exp = expiring_->expires_at(c.entry);
+      if (exp.has_value() && *exp <= now) expired_scratch_.push_back(h);
+    });
+  }
   for (ContainerHandle h : expired_scratch_) {
     const Container& c = store_.get(h);
     FunctionId fn = c.fn;

@@ -139,7 +139,8 @@ class ContainerPool {
   /// iterate records in canonical order.
   const ContainerStore& store() const { return store_; }
 
-  /// One background sweep: expire per policy, then restore the free buffer.
+  /// One background sweep: expire per policy (only when the policy is an
+  /// ExpiringPolicy), then restore the free buffer.
   /// An expiry asks for a prewarm only when the container served an
   /// invocation: one that expires still parked from a prewarm was never
   /// needed, and re-prewarming it would loop for as long as the function
@@ -174,6 +175,9 @@ class ContainerPool {
 
   Runtime& rt_;
   KeepAlivePolicy& policy_;
+  /// policy_ as an ExpiringPolicy, or null when its containers never
+  /// expire; resolved once so sweeps skip the expiry scan without asking.
+  const ExpiringPolicy* expiring_;
   Config cfg_;
   EvictFn on_evict_;
   PrewarmRequestFn on_prewarm_request_;

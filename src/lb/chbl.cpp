@@ -7,66 +7,74 @@
 namespace ilu {
 
 void ConsistentHashRing::add_worker(std::size_t worker_index) {
+  const auto old_size = static_cast<std::ptrdiff_t>(ring_.size());
   for (std::size_t v = 0; v < vnodes_; ++v) {
-    std::uint64_t point =
-        splitmix64(hash_combine(splitmix64(worker_index + 1), v));
-    ring_.emplace(point, worker_index);
+    ring_.push_back(
+        {splitmix64(hash_combine(splitmix64(worker_index + 1), v)),
+         worker_index});
   }
+  auto by_point = [](const Point& a, const Point& b) { return a.at < b.at; };
+  std::sort(ring_.begin() + old_size, ring_.end(), by_point);
+  // inplace_merge is stable, so where a new point collides with an existing
+  // one the existing owner comes first and unique() keeps it.
+  std::inplace_merge(ring_.begin(), ring_.begin() + old_size, ring_.end(),
+                     by_point);
+  ring_.erase(std::unique(ring_.begin(), ring_.end(),
+                          [](const Point& a, const Point& b) {
+                            return a.at == b.at;
+                          }),
+              ring_.end());
   ++workers_;
 }
 
 void ConsistentHashRing::remove_worker(std::size_t worker_index) {
-  for (auto it = ring_.begin(); it != ring_.end();) {
-    if (it->second == worker_index) {
-      it = ring_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(ring_,
+                [&](const Point& p) { return p.worker == worker_index; });
   if (workers_ > 0) --workers_;
-}
-
-std::vector<std::size_t> ConsistentHashRing::candidates(
-    std::string_view key) const {
-  std::vector<std::size_t> out;
-  if (ring_.empty()) return out;
-  out.reserve(workers_);
-  // FNV-1a alone clusters similar short names (fn_1/fn_2/... differ only in
-  // the low bits); finalize with splitmix64 to spread them over the ring.
-  std::uint64_t h = splitmix64(fnv1a64(key));
-  auto start = ring_.lower_bound(h);
-  auto it = start;
-  // Walk the whole ring once, collecting each distinct worker in order.
-  for (std::size_t steps = 0; steps < ring_.size() && out.size() < workers_;
-       ++steps) {
-    if (it == ring_.end()) it = ring_.begin();
-    if (std::find(out.begin(), out.end(), it->second) == out.end()) {
-      out.push_back(it->second);
-    }
-    ++it;
-  }
-  return out;
 }
 
 ChblBalancer::ChblBalancer(std::size_t num_workers)
     : ChblBalancer(num_workers, Config{}) {}
 
 ChblBalancer::ChblBalancer(std::size_t num_workers, Config cfg)
-    : cfg_(cfg), ring_(cfg.vnodes_per_worker) {
+    : cfg_(cfg), ring_(cfg.vnodes_per_worker), seen_(num_workers, 0) {
   for (std::size_t i = 0; i < num_workers; ++i) ring_.add_worker(i);
 }
 
 std::size_t ChblBalancer::pick(std::string_view fn_key,
-                               const std::vector<double>& loads) const {
-  assert(!loads.empty());
-  double avg = 0.0;
-  for (double l : loads) avg += l;
-  avg /= static_cast<double>(loads.size());
-  double bound = cfg_.bound_factor * std::max(1.0, avg);
+                               const std::vector<double>& loads) {
+  double sum = 0.0;
+  for (double l : loads) sum += l;
+  return pick(ConsistentHashRing::hash_key(fn_key), loads, sum);
+}
 
-  auto cands = ring_.candidates(fn_key);
+std::size_t ChblBalancer::pick(std::uint64_t key_hash,
+                               const std::vector<double>& loads,
+                               double load_sum) {
+  assert(!loads.empty());
+  const double avg = load_sum / static_cast<double>(loads.size());
+  const double bound = cfg_.bound_factor * std::max(1.0, avg);
+
+  // Walk clockwise from the key's point, visiting each distinct worker once
+  // in ring order, and stop at the first one within the bound. Every worker
+  // visited so far was over it, so last_hops_ also counts the visits.
   last_hops_ = 0;
-  for (std::size_t w : cands) {
+  if (++epoch_ == 0) {  // the stamp wrapped: forget every old visit
+    std::fill(seen_.begin(), seen_.end(), 0);
+    epoch_ = 1;
+  }
+  const std::vector<ConsistentHashRing::Point>& ring = ring_.points();
+  std::size_t i = static_cast<std::size_t>(
+      std::lower_bound(ring.begin(), ring.end(), key_hash,
+                       [](const ConsistentHashRing::Point& p,
+                          std::uint64_t h) { return p.at < h; }) -
+      ring.begin());
+  for (std::size_t steps = 0;
+       steps < ring.size() && last_hops_ < ring_.num_workers(); ++steps, ++i) {
+    if (i == ring.size()) i = 0;
+    const std::size_t w = ring[i].worker;
+    if (seen_[w] == epoch_) continue;
+    seen_[w] = epoch_;
     if (loads[w] <= bound) return w;
     ++last_hops_;
   }

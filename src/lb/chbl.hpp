@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/hash.hpp"
@@ -16,6 +15,12 @@ namespace ilu {
 
 class ConsistentHashRing {
  public:
+  /// One virtual node: a point on the ring owned by a worker.
+  struct Point {
+    std::uint64_t at;
+    std::size_t worker;
+  };
+
   explicit ConsistentHashRing(std::size_t vnodes_per_worker = 64)
       : vnodes_(vnodes_per_worker) {}
 
@@ -23,20 +28,24 @@ class ConsistentHashRing {
   void remove_worker(std::size_t worker_index);
   std::size_t num_workers() const { return workers_; }
 
-  /// Workers in ring order starting at the hash of `key`, each distinct
-  /// worker listed once.
-  std::vector<std::size_t> candidates(std::string_view key) const;
+  /// Where `key` lands on the ring. FNV-1a alone clusters similar short
+  /// names (fn_1/fn_2/... differ only in the low bits); the splitmix64
+  /// finalizer spreads them.
+  static std::uint64_t hash_key(std::string_view key) {
+    return splitmix64(fnv1a64(key));
+  }
 
-  /// The raw ring: point → worker index, ascending by point. Exposed for
-  /// topology consumers (lb/placement.cpp groups ring-adjacent workers onto
-  /// the same shard); routing goes through candidates().
-  const std::map<std::uint64_t, std::size_t>& points() const { return ring_; }
+  /// The ring, ascending by point, one entry per distinct point (the first
+  /// worker to claim a point keeps it). A key's candidate workers are the
+  /// distinct workers met walking clockwise from the first point at or
+  /// after hash_key(key), wrapping once. lb/placement.cpp reads it to group
+  /// ring-adjacent workers onto the same shard.
+  const std::vector<Point>& points() const { return ring_; }
 
  private:
   std::size_t vnodes_;
   std::size_t workers_ = 0;
-  /// point on ring -> worker index
-  std::map<std::uint64_t, std::size_t> ring_;
+  std::vector<Point> ring_;
 };
 
 /// The bounded-loads walk. Loads are supplied by the caller (queue length +
@@ -52,11 +61,16 @@ class ChblBalancer {
   explicit ChblBalancer(std::size_t num_workers);
   ChblBalancer(std::size_t num_workers, Config cfg);
 
-  /// Pick a worker for `fn_key` given current per-worker loads. Returns the
-  /// first candidate within the bound, or the least-loaded worker if all
-  /// exceed it.
-  std::size_t pick(std::string_view fn_key,
-                   const std::vector<double>& loads) const;
+  /// Pick a worker for the key hashed to `key_hash`
+  /// (ConsistentHashRing::hash_key) given per-worker loads and their sum.
+  /// Returns the first candidate within the bound, or the least-loaded
+  /// worker if all exceed it. The walk stops at that first candidate, so a
+  /// pick reads only the ring points up to it, not the whole ring.
+  std::size_t pick(std::uint64_t key_hash, const std::vector<double>& loads,
+                   double load_sum);
+
+  /// Convenience: hashes `fn_key` and sums `loads` in index order.
+  std::size_t pick(std::string_view fn_key, const std::vector<double>& loads);
 
   /// How many forwarding hops the last pick made (for locality metrics).
   std::size_t last_hops() const { return last_hops_; }
@@ -64,7 +78,11 @@ class ChblBalancer {
  private:
   Config cfg_;
   ConsistentHashRing ring_;
-  mutable std::size_t last_hops_ = 0;
+  std::size_t last_hops_ = 0;
+  /// Visited set of the current walk: worker w was seen iff
+  /// seen_[w] == epoch_. Bumping the epoch clears it in O(1).
+  std::vector<std::uint32_t> seen_;
+  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace ilu

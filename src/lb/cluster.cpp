@@ -70,7 +70,8 @@ FunctionId Cluster::register_function(const FunctionProfile& profile) {
            "directly on one worker as well as through the cluster?");
     id = got;
   }
-  fn_keys_.push_back(profile.name + "#" + std::to_string(fn_keys_.size()));
+  fn_hashes_.push_back(ConsistentHashRing::hash_key(
+      profile.name + "#" + std::to_string(fn_hashes_.size())));
   return id;
 }
 
@@ -93,7 +94,7 @@ std::size_t Cluster::route(FunctionId fn) {
       return best;
     }
     case LbPolicy::ChBl: {
-      std::size_t w = chbl_.pick(fn_keys_.at(fn), lb_view_);
+      std::size_t w = chbl_.pick(fn_hashes_.at(fn), lb_view_, lb_view_sum_);
       if (chbl_.last_hops() > 0) {
         ++forwarded_;
         forwarded_counter_->inc();
@@ -135,6 +136,7 @@ void Cluster::invoke(FunctionId fn, Worker::InvokeCb cb) {
                  static_cast<std::uint32_t>(w));
   dispatch_counters_[w]->inc();
   lb_view_[w] += 1.0;
+  lb_view_sum_ += 1.0;
   // Model the LB <-> worker RPC hop both ways. Both samples are drawn here,
   // at route time, so the balancer RNG's draw order is a pure function of
   // the invocation sequence — never of completion interleaving across
@@ -150,6 +152,7 @@ void Cluster::invoke(FunctionId fn, Worker::InvokeCb cb) {
               TimePoint at = workers_[w]->runtime().now() + back_hop;
               send_to_lb(w, at, Task([this, w, r, cb]() {
                            lb_view_[w] -= 1.0;
+                           lb_view_sum_ -= 1.0;
                            cb(r);
                          }));
             });

@@ -120,7 +120,8 @@ class Cluster {
   Rng rng_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::size_t> worker_shard_;
-  std::vector<std::string> fn_keys_;
+  /// Ring hash of each function's CH-BL key, computed at registration.
+  std::vector<std::uint64_t> fn_hashes_;
   ChblBalancer chbl_;
   std::size_t rr_next_ = 0;
   std::vector<std::uint64_t> routed_;
@@ -128,6 +129,9 @@ class Cluster {
   /// LB-local outstanding-invocation count per worker (the routing load
   /// signal). Lives here, not allocated per route call.
   std::vector<double> lb_view_;
+  /// Running sum of lb_view_. The entries are integer counts held in
+  /// doubles, so the sum is exact and equals a fresh index-order re-sum.
+  double lb_view_sum_ = 0.0;
   /// Per-sender message sequence numbers. lb_seq_ is only touched on the
   /// LB's loop; worker_seq_[w] only on worker w's loop.
   std::uint64_t lb_seq_ = 0;

@@ -148,7 +148,7 @@ TEST_F(ContainerPoolTest, BackgroundSweepRunsOnTimer) {
 }
 
 /// TTL policy that wants a prewarm after every expiry.
-class PrefetchingTtl final : public KeepAlivePolicy {
+class PrefetchingTtl final : public ExpiringPolicy {
  public:
   std::string name() const override { return "PREFETCH_TTL"; }
   void on_access(CacheEntry&, TimePoint) override {}

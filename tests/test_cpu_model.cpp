@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/sim_runtime.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace ilu {
@@ -177,6 +178,78 @@ TEST(CpuModel, ManyTasksStressConsistency) {
   EXPECT_EQ(completed, 500);
   EXPECT_EQ(cpu.running(), 0u);
   EXPECT_DOUBLE_EQ(cpu.demand(), 0.0);
+}
+
+
+TEST(CpuModel, SameMicrosecondCompletionsFireInSubmissionOrder) {
+  SimRuntime rt;
+  CpuModel cpu(rt, 8.0);
+  // Different (work, weight) pairs that all finish at exactly 1 s.
+  std::vector<int> order;
+  const double shapes[][2] = {{2.0, 2.0}, {1.0, 1.0}, {0.5, 0.5}, {3.0, 3.0}};
+  for (int i = 0; i < 4; ++i) {
+    cpu.submit(shapes[i][0], shapes[i][1], [&, i] {
+      EXPECT_EQ(rt.now(), secs(1));
+      order.push_back(i);
+    });
+  }
+  rt.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(CpuModel, CancellingAMiddleTaskLeavesOthersUnchanged) {
+  SimRuntime rt;
+  CpuModel cpu(rt, 8.0);  // uncontended: a departure speeds nobody up
+  std::vector<TimePoint> done(5, TimePoint{-1});
+  std::vector<CpuModel::TaskId> ids;
+  for (int i = 0; i < 5; ++i) {
+    ids.push_back(cpu.submit(i + 1.0, 1.0, [&, i] { done[i] = rt.now(); }));
+  }
+  rt.schedule(msecs(1500), [&] {
+    EXPECT_TRUE(cpu.cancel(ids[2]));
+    EXPECT_FALSE(cpu.cancel(ids[2]));
+    EXPECT_EQ(cpu.running(), 3u);
+  });
+  rt.run();
+  EXPECT_EQ(done, (std::vector<TimePoint>{secs(1), secs(2), TimePoint{-1},
+                                          secs(4), secs(5)}));
+}
+
+TEST(CpuModel, GoldenCompletionStream) {
+  // 10,000 seeded submits near saturation with random work and weights, a
+  // tenth of them cancelled mid-run. Every completion (task index, µs) and
+  // every cancel outcome folds into one hash, so a change to the model's
+  // arithmetic, rounding or firing order moves it. Recorded from the
+  // std::map task table this model replaced.
+  SimRuntime rt;
+  CpuModel cpu(rt, 8.0);
+  Rng rng(2024);
+  std::uint64_t h = 0;
+  std::uint64_t completed = 0;
+  double at_s = 0.0;
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    at_s += rng.exponential(0.002);
+    const double work = rng.uniform(0.001, 0.03);
+    const double weight = rng.uniform(0.5, 2.0);
+    const bool cancel = rng.bernoulli(0.1);
+    const double cancel_after_s = rng.uniform(0.0, 0.02);
+    rt.schedule(secs(at_s), [&, i, work, weight, cancel, cancel_after_s] {
+      CpuModel::TaskId id = cpu.submit(work, weight, [&, i] {
+        h = hash_combine(h, (i << 40) ^ static_cast<std::uint64_t>(
+                                             rt.now().count()));
+        ++completed;
+      });
+      if (cancel) {
+        rt.schedule(secs(cancel_after_s), [&, i, id] {
+          h = hash_combine(h, (i << 1) | (cpu.cancel(id) ? 1u : 0u));
+        });
+      }
+    });
+  }
+  rt.run();
+  EXPECT_EQ(cpu.running(), 0u);
+  EXPECT_GT(completed, 9000u);
+  EXPECT_EQ(h, 0xbac4838fd2216554ULL) << std::hex << "0x" << h;
 }
 
 }  // namespace

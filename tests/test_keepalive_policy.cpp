@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace ilu {
 namespace {
 
@@ -44,8 +46,14 @@ TEST(TtlPolicy, EvictionOrderIsLru) {
 }
 
 TEST(LruPolicy, NoExpiry) {
-  LruPolicy p;
-  EXPECT_FALSE(p.expires_at(entry(0, 128, secs(1), secs(0))).has_value());
+  // Expiry is a capability by type: LRU has no expires_at to call.
+  static_assert(!std::is_base_of_v<ExpiringPolicy, LruPolicy>);
+  static_assert(std::is_base_of_v<ExpiringPolicy, TtlPolicy>);
+  static_assert(std::is_base_of_v<ExpiringPolicy, HistPolicy>);
+  for (const char* n : {"LRU", "FREQ", "GD", "LND"}) {
+    EXPECT_EQ(dynamic_cast<ExpiringPolicy*>(make_policy(n).get()), nullptr)
+        << n;
+  }
 }
 
 TEST(LfuPolicy, RanksByFrequency) {

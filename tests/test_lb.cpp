@@ -1,19 +1,50 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "lb/chbl.hpp"
 #include "lb/cluster.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "trace/function_profile.hpp"
+#include "util/rng.hpp"
 
 namespace ilu {
 namespace {
 
+/// Reference walk: every distinct worker in ring order starting at the
+/// key's point, found by walking the whole ring once. ChblBalancer::pick
+/// must return the first of these within the bound.
+std::vector<std::size_t> candidates(const ConsistentHashRing& ring,
+                                    std::uint64_t key_hash) {
+  const auto& points = ring.points();
+  std::vector<std::size_t> out;
+  if (points.empty()) return out;
+  auto it = std::lower_bound(
+      points.begin(), points.end(), key_hash,
+      [](const ConsistentHashRing::Point& p, std::uint64_t h) {
+        return p.at < h;
+      });
+  for (std::size_t steps = 0;
+       steps < points.size() && out.size() < ring.num_workers();
+       ++steps, ++it) {
+    if (it == points.end()) it = points.begin();
+    if (std::find(out.begin(), out.end(), it->worker) == out.end()) {
+      out.push_back(it->worker);
+    }
+  }
+  return out;
+}
+
+std::vector<std::size_t> candidates(const ConsistentHashRing& ring,
+                                    std::string_view key) {
+  return candidates(ring, ConsistentHashRing::hash_key(key));
+}
+
 TEST(ConsistentHashRing, CandidatesCoverAllWorkersOnce) {
   ConsistentHashRing ring(32);
   for (std::size_t i = 0; i < 5; ++i) ring.add_worker(i);
-  auto cands = ring.candidates("some_function");
+  auto cands = candidates(ring, "some_function");
   EXPECT_EQ(cands.size(), 5u);
   std::set<std::size_t> uniq(cands.begin(), cands.end());
   EXPECT_EQ(uniq.size(), 5u);
@@ -22,7 +53,7 @@ TEST(ConsistentHashRing, CandidatesCoverAllWorkersOnce) {
 TEST(ConsistentHashRing, StableForSameKey) {
   ConsistentHashRing ring(32);
   for (std::size_t i = 0; i < 4; ++i) ring.add_worker(i);
-  EXPECT_EQ(ring.candidates("fn_a"), ring.candidates("fn_a"));
+  EXPECT_EQ(candidates(ring, "fn_a"), candidates(ring, "fn_a"));
 }
 
 TEST(ConsistentHashRing, DifferentKeysSpreadAcrossWorkers) {
@@ -30,7 +61,7 @@ TEST(ConsistentHashRing, DifferentKeysSpreadAcrossWorkers) {
   for (std::size_t i = 0; i < 4; ++i) ring.add_worker(i);
   std::set<std::size_t> homes;
   for (int k = 0; k < 100; ++k) {
-    homes.insert(ring.candidates("fn_" + std::to_string(k)).front());
+    homes.insert(candidates(ring, "fn_" + std::to_string(k)).front());
   }
   EXPECT_EQ(homes.size(), 4u);
 }
@@ -40,12 +71,12 @@ TEST(ConsistentHashRing, RemovalOnlyMovesAffectedKeys) {
   for (std::size_t i = 0; i < 4; ++i) ring.add_worker(i);
   std::vector<std::size_t> before;
   for (int k = 0; k < 200; ++k) {
-    before.push_back(ring.candidates("fn_" + std::to_string(k)).front());
+    before.push_back(candidates(ring, "fn_" + std::to_string(k)).front());
   }
   ring.remove_worker(2);
   int moved = 0;
   for (int k = 0; k < 200; ++k) {
-    auto now = ring.candidates("fn_" + std::to_string(k)).front();
+    auto now = candidates(ring, "fn_" + std::to_string(k)).front();
     if (now != before[k]) {
       ++moved;
       EXPECT_EQ(before[k], 2u);  // only keys homed on worker 2 move
@@ -95,6 +126,76 @@ TEST(ChblBalancer, BoundedLoadInvariantUnderStream) {
     loads[w] += 1.0;
     // Decay to emulate completions.
     for (double& l : loads) l *= 0.995;
+  }
+}
+
+TEST(ChblBalancer, PickMatchesReferenceWalk) {
+  // Property: for random keys and integer loads, pick returns the first
+  // under-bound worker of the full reference walk and reports its index
+  // as the hop count; with everyone over the bound it falls back to the
+  // least-loaded worker after visiting all of them.
+  Rng rng(7);
+  for (std::size_t workers : {1u, 2u, 3u, 16u, 64u, 1024u}) {
+    ConsistentHashRing ring(64);
+    for (std::size_t w = 0; w < workers; ++w) ring.add_worker(w);
+    const int trials = workers >= 1024 ? 12 : 300;
+    for (double factor : {0.5, 1.0, 1.25, 2.0}) {
+      ChblBalancer lb(workers, ChblBalancer::Config{.bound_factor = factor});
+      for (int t = 0; t < trials; ++t) {
+        const std::uint64_t key = rng.next_u64();
+        const std::uint64_t max_load = 1 + rng.uniform_index(12);
+        std::vector<double> loads(workers);
+        double sum = 0.0;
+        for (double& l : loads) {
+          l = static_cast<double>(rng.uniform_index(max_load + 1));
+          sum += l;
+        }
+        const double bound =
+            factor * std::max(1.0, sum / static_cast<double>(workers));
+        const std::vector<std::size_t> cands = candidates(ring, key);
+        ASSERT_EQ(cands.size(), workers);
+        const std::size_t got = lb.pick(key, loads, sum);
+        auto first =
+            std::find_if(cands.begin(), cands.end(),
+                         [&](std::size_t w) { return loads[w] <= bound; });
+        if (first != cands.end()) {
+          EXPECT_EQ(got, *first) << workers << " workers, trial " << t;
+          EXPECT_EQ(lb.last_hops(),
+                    static_cast<std::size_t>(first - cands.begin()));
+        } else {
+          const auto least = std::min_element(loads.begin(), loads.end());
+          EXPECT_EQ(got, static_cast<std::size_t>(least - loads.begin()));
+          EXPECT_EQ(lb.last_hops(), workers);
+        }
+      }
+    }
+    // Everyone over the bound: loads in [10, 20] against half the average.
+    ChblBalancer tight(workers, ChblBalancer::Config{.bound_factor = 0.5});
+    std::vector<double> loads(workers);
+    for (double& l : loads) {
+      l = 10.0 + static_cast<double>(rng.uniform_index(11));
+    }
+    const std::size_t got = tight.pick("fn_over", loads);
+    EXPECT_EQ(got, static_cast<std::size_t>(
+                       std::min_element(loads.begin(), loads.end()) -
+                       loads.begin()));
+    EXPECT_EQ(tight.last_hops(), workers);
+  }
+}
+
+TEST(ChblBalancer, StringKeyPickHashesTheKey) {
+  ChblBalancer by_name(16);
+  ChblBalancer by_hash(16);
+  std::vector<double> loads(16, 0.0);
+  Rng rng(3);
+  for (int k = 0; k < 200; ++k) {
+    for (double& l : loads) l = static_cast<double>(rng.uniform_index(6));
+    double sum = 0.0;
+    for (double l : loads) sum += l;
+    const std::string key = "fn_" + std::to_string(k);
+    EXPECT_EQ(by_name.pick(key, loads),
+              by_hash.pick(ConsistentHashRing::hash_key(key), loads, sum));
+    EXPECT_EQ(by_name.last_hops(), by_hash.last_hops());
   }
 }
 
