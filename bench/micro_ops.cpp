@@ -1,12 +1,14 @@
 // Google-benchmark microbenchmarks backing the implementation-efficiency
 // claims of §6: queue disciplines, pool acquire/return, policy priority
-// computation, CH-BL routing, the discrete-event engine, and the GPS CPU
-// model. These measure the *actual* C++ control-plane data structures (not
-// modeled latencies).
+// computation, CH-BL routing, cluster function registration, the
+// discrete-event engine, and the GPS CPU model. These measure the *actual*
+// C++ control-plane data structures (not modeled latencies).
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -33,7 +35,7 @@ BENCHMARK(BM_SimRuntimeScheduleRun);
 void BM_SimRuntimeChurnRealistic(benchmark::State& state) {
   // The worker's actual schedule/cancel/fire mix: closures capture ~40 B
   // (beyond libstdc++ std::function's 16-byte inline buffer, within
-  // ilu::Task's 48-byte one) and a quarter of the timers are cancelled
+  // ilu::Task's 56-byte one) and a quarter of the timers are cancelled
   // before they fire (keep-alive expiry rearms, regulator ticks).
   std::uint64_t sum = 0;
   for (auto _ : state) {
@@ -231,6 +233,33 @@ void BM_ChblPick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChblPick)->Arg(8)->Arg(64)->Arg(1024);
+
+void BM_ClusterRegisterFunction(benchmark::State& state) {
+  // The registration layer on a 16-worker cluster: each function goes into
+  // the cluster's one function table with its CH-BL key hash, and no worker
+  // builds per-function state until the function first arrives there.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<FunctionProfile> profiles(n, lookbusy(msecs(100), 128, secs(1)));
+  for (std::size_t i = 0; i < n; ++i) {
+    profiles[i].name = "fn_" + std::to_string(i);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    SimRuntime rt;
+    auto cluster = std::make_unique<Cluster>(
+        rt, ClusterConfig{.num_workers = 16});
+    state.ResumeTiming();
+    for (const auto& p : profiles) cluster->register_function(p);
+    benchmark::DoNotOptimize(cluster->functions().size());
+    state.PauseTiming();
+    cluster.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ClusterRegisterFunction)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CpuModelSubmit(benchmark::State& state) {
   for (auto _ : state) {

@@ -43,7 +43,6 @@ class PointerContainerPool {
     Container* c = owned.get();
     c->id = next_id_++;
     c->fn = fn;
-    c->profile = profile;
     c->state = ContainerState::Provisioning;
     c->entry.fn = fn;
     c->entry.mem_mb = profile.mem_mb;
@@ -88,7 +87,7 @@ class PointerContainerPool {
       policy_.on_evict(victim->entry);
       ++evictions_;
       auto it = containers_.find(victim);
-      used_mb_ -= victim->profile.mem_mb;
+      used_mb_ -= victim->entry.mem_mb;
       containers_.erase(it);  // unique_ptr destroys the record
     }
     return used_mb_ + mem_mb <= capacity_mb_;

@@ -12,7 +12,8 @@
 // Schema (ilu-bench-core-v1): {"schema", "runs": [{label, utc, host_threads,
 // smoke, engine:{events_per_sec, schedule_run_events_per_sec,
 // schedule_cancel_ops_per_sec, queue_push_pop_ops_per_sec,
-// pool_acquire_return_ops_per_sec}, pool_churn:{slab_ops_per_sec,
+// pool_acquire_return_ops_per_sec, cluster_register_fns_per_sec},
+// pool_churn:{slab_ops_per_sec,
 // pointer_ops_per_sec, speedup}, trace_gen:{functions, events,
 // aos_events_per_sec}, trace_replay:{functions,
 // events, chunks, gen_events_per_sec, replay_events_per_sec, equivalent},
@@ -165,6 +166,21 @@ double pool_acquire_return_ops_per_sec(int rounds) {
       pool.return_container(c, usecs(t + 1));
       t += 2;
     }
+  });
+}
+
+/// Function registration on a 16-worker cluster, in functions per second
+/// (mirrors micro_ops::BM_ClusterRegisterFunction, set-up included).
+double cluster_register_fns_per_sec(std::size_t functions) {
+  std::vector<FunctionProfile> profiles(functions,
+                                        lookbusy(msecs(100), 128, secs(1)));
+  for (std::size_t i = 0; i < functions; ++i) {
+    profiles[i].name = "fn_" + std::to_string(i);
+  }
+  return best_ops_per_sec(functions, 3, [&] {
+    SimRuntime rt;
+    Cluster cluster(rt, ClusterConfig{.num_workers = 16});
+    for (const auto& p : profiles) cluster.register_function(p);
   });
 }
 
@@ -778,6 +794,8 @@ int main(int argc, char** argv) {
   std::printf("%-36s %12.0f /s\n", "queue push+pop ops", qp);
   double pa = pool_acquire_return_ops_per_sec(rounds * 100);
   std::printf("%-36s %12.0f /s\n", "pool acquire+return ops", pa);
+  double cr = cluster_register_fns_per_sec(smoke ? 2000 : 20000);
+  std::printf("%-36s %12.0f /s\n", "cluster register (16 workers)", cr);
   auto pc = pool_churn_timing(rounds * 50);
   std::printf("%-36s %12.0f /s\n", "pool churn (slab/handle)",
               pc.slab_ops_per_sec);
@@ -866,6 +884,7 @@ int main(int argc, char** argv) {
   engine["schedule_cancel_ops_per_sec"] = sc;
   engine["queue_push_pop_ops_per_sec"] = qp;
   engine["pool_acquire_return_ops_per_sec"] = pa;
+  engine["cluster_register_fns_per_sec"] = cr;
   run["engine"] = engine;
   JsonObject pool_churn;
   pool_churn["slab_ops_per_sec"] = pc.slab_ops_per_sec;

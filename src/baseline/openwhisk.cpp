@@ -23,8 +23,7 @@ OpenWhiskModel::OpenWhiskModel(Runtime& rt, OpenWhiskConfig cfg)
               // else observes it in this model.
               rt_.post([this] { pump_buffer(); });
             }),
-      backend_(std::make_unique<SimContainerBackend>(
-          rt, cpu_, rng_.substream(0x99), cfg.backend)) {}
+      backend_(rt, cpu_, rng_.substream(0x99), cfg.backend) {}
 
 OpenWhiskModel::~OpenWhiskModel() { shutdown(); }
 
@@ -123,7 +122,7 @@ void OpenWhiskModel::try_start(PendingHandle p) {
   Duration netns_cost = LatencyModel::lognormal(msecs(100), 0.2).sample(rng_);
   rt_.schedule(netns_cost, [this, p, fresh] {
     FunctionId fn = pending_.get(p).fn;
-    backend_->create_container(functions_[fn], [this, p, fresh](bool ok) {
+    backend_.create_container(functions_[fn], [this, p, fresh](bool ok) {
       if (!ok) {
         pool_.remove(fresh);
         drop(p);
@@ -140,10 +139,10 @@ void OpenWhiskModel::run_on(PendingHandle p, ContainerHandle c, bool cold) {
   double work =
       to_sec(cold ? functions_[fn].cold_time() : functions_[fn].warm_time);
   // No concurrency regulation: every invocation lands on the CPU at once.
-  backend_->invoke(work, functions_[fn].cpus,
-                   [this, p, c, cold](bool, Duration actual) {
-                     complete(p, c, cold, actual);
-                   });
+  backend_.invoke(work, functions_[fn].cpus,
+                  [this, p, c, cold](bool, Duration actual) {
+                    complete(p, c, cold, actual);
+                  });
 }
 
 void OpenWhiskModel::complete(PendingHandle p, ContainerHandle c, bool cold,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -133,7 +134,7 @@ class OpenWhiskModel {
   CpuModel cpu_;
   std::unique_ptr<KeepAlivePolicy> ka_policy_;
   ContainerPool pool_;
-  std::unique_ptr<SimContainerBackend> backend_;
+  SimContainerBackend backend_;
 
   std::size_t inflight_ = 0;
   PendingStore pending_;

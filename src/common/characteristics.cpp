@@ -4,19 +4,23 @@
 
 namespace ilu {
 
-void CharacteristicsMap::ensure(std::size_t n) {
-  while (chars_.size() < n) chars_.emplace_back(window_);
-}
-
 CharacteristicsMap::FnChars& CharacteristicsMap::at(FunctionId fn) {
-  ensure(static_cast<std::size_t>(fn) + 1);
-  return chars_[fn];
+  if (fn >= slot_.size()) {
+    slot_.resize(static_cast<std::size_t>(fn) + 1, kNoEntry);
+  }
+  std::uint32_t& s = slot_[fn];
+  if (s == kNoEntry) {
+    assert(entries_.size() < kNoEntry);
+    s = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back(window_);
+  }
+  return entries_[s];
 }
 
 const CharacteristicsMap::FnChars* CharacteristicsMap::find(
     FunctionId fn) const {
-  if (fn >= chars_.size()) return nullptr;
-  return &chars_[fn];
+  if (fn >= slot_.size() || slot_[fn] == kNoEntry) return nullptr;
+  return &entries_[slot_[fn]];
 }
 
 void CharacteristicsMap::on_arrival(FunctionId fn, TimePoint now) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -10,14 +11,17 @@
 /// size-aware queue policies (SJF/EEDF use expected execution time, RARE
 /// uses IAT) and are exposed to all control-plane components, mirroring the
 /// paper's data-driven policy support.
+///
+/// An entry exists only for a function this map has seen: the first
+/// `on_arrival` / `record_*` of a function creates it. A worker therefore
+/// holds characteristics for the functions it runs, not for every function
+/// its cluster registered (DESIGN.md §21). Queries about an unseen function
+/// return zeros and create nothing.
 namespace ilu {
 
 class CharacteristicsMap {
  public:
   explicit CharacteristicsMap(std::size_t window = 10) : window_(window) {}
-
-  /// Ensure slots exist for function ids < n.
-  void ensure(std::size_t n);
 
   /// Record an arrival (updates IAT tracking).
   void on_arrival(FunctionId fn, TimePoint now);
@@ -38,6 +42,9 @@ class CharacteristicsMap {
   std::uint64_t warm_count(FunctionId fn) const;
   std::uint64_t cold_count(FunctionId fn) const;
 
+  /// Number of functions with an entry (those seen so far).
+  std::size_t tracked() const { return entries_.size(); }
+
  private:
   struct FnChars {
     explicit FnChars(std::size_t window)
@@ -50,12 +57,17 @@ class CharacteristicsMap {
     std::uint64_t warm = 0;
     std::uint64_t cold = 0;
   };
+  static constexpr std::uint32_t kNoEntry = UINT32_MAX;
 
   const FnChars* find(FunctionId fn) const;
   FnChars& at(FunctionId fn);
 
   std::size_t window_;
-  std::vector<FnChars> chars_;
+  /// Index into entries_ by FunctionId (kNoEntry = unseen); grows to the
+  /// largest id seen.
+  std::vector<std::uint32_t> slot_;
+  /// One entry per seen function, in first-seen order.
+  std::vector<FnChars> entries_;
 };
 
 }  // namespace ilu

@@ -10,7 +10,7 @@
 namespace ilu {
 
 /// Dense function identifier: index into a Trace's function table / a
-/// worker's registration table.
+/// Cluster's (or standalone Worker's) function table.
 using FunctionId = std::uint32_t;
 
 /// Static characteristics of a function, as registered with the platform.

@@ -49,8 +49,8 @@ SimContainerBackend::SimContainerBackend(Runtime& rt, CpuModel& cpu, Rng rng,
       profile_(std::move(profile)),
       faults_(faults) {}
 
-void SimContainerBackend::create_container(const FunctionProfile& profile,
-                                           VoidCb cb) {
+Duration SimContainerBackend::start_create(const FunctionProfile& profile,
+                                           bool& ok) {
   Duration d;
   if (profile_.snapshot_cold_starts && snapshotted_.count(profile.name) > 0) {
     // Restore from a previous snapshot of this function's container.
@@ -60,31 +60,15 @@ void SimContainerBackend::create_container(const FunctionProfile& profile,
     d = profile_.create.sample(rng_) + profile_.agent_start.sample(rng_);
   }
   if (rng_.bernoulli(faults_.create_failure_prob)) {
-    ++create_failures_;
-    rt_.schedule(d, [cb = std::move(cb)] { cb(false); });
-    return;
+    ok = false;
+    return d;
   }
   ++creates_;
   flight::record(rt_.now(), flight::Ev::kColdCreate,
                  static_cast<std::uint32_t>(creates_));
   if (profile_.snapshot_cold_starts) snapshotted_.insert(profile.name);
-  rt_.schedule(d, [cb = std::move(cb)] { cb(true); });
-}
-
-void SimContainerBackend::invoke(double work_seconds, double cpus,
-                                 InvokeCb cb) {
-  bool fail = rng_.bernoulli(faults_.invoke_failure_prob);
-  TimePoint started = rt_.now();
-  cpu_.submit(work_seconds, cpus,
-              [this, cb = std::move(cb), started, fail] {
-                cb(!fail, rt_.now() - started);
-              });
-}
-
-void SimContainerBackend::destroy_container(VoidCb cb) {
-  ++destroys_;
-  rt_.schedule(profile_.destroy.sample(rng_),
-               [cb = std::move(cb)] { cb(true); });
+  ok = true;
+  return d;
 }
 
 }  // namespace ilu

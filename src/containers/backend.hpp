@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <unordered_set>
 
@@ -13,8 +12,8 @@
 /// Docker) over RPC; this testbed models those libraries with latency
 /// profiles calibrated from the paper's own measurements, plus the paper's
 /// "null"/simulation backend where function execution becomes CPU-model
-/// time. The worker is written against the small abstract API the paper
-/// advocates: create / launch task (agent) / invoke / destroy.
+/// time. The worker is written against the small API the paper advocates:
+/// create / launch task (agent) / invoke / destroy.
 namespace ilu {
 
 /// Latency characteristics of a containerization library.
@@ -52,58 +51,66 @@ struct BackendFaults {
   double invoke_failure_prob = 0.0;
 };
 
-/// Abstract container backend, continuation-passing like the rest of the
-/// control plane.
-class ContainerBackend {
- public:
-  using VoidCb = std::function<void(bool ok)>;
-  /// actual elapsed execution duration (contention-inflated), ok flag.
-  using InvokeCb = std::function<void(bool ok, Duration actual)>;
-
-  virtual ~ContainerBackend() = default;
-
-  virtual const std::string& name() const = 0;
-
-  /// Create sandbox + agent for `profile`; cb(ok) after the modeled delay.
-  virtual void create_container(const FunctionProfile& profile,
-                                VoidCb cb) = 0;
-
-  /// Execute `work_seconds` of function code at cgroup weight `cpus`.
-  virtual void invoke(double work_seconds, double cpus, InvokeCb cb) = 0;
-
-  /// Tear down a sandbox (runs off the critical path).
-  virtual void destroy_container(VoidCb cb) = 0;
-};
-
-/// Discrete-event backend: create/destroy are latency samples, execution is
-/// time on the shared CpuModel. With the null profile this is exactly the
-/// paper's in-situ simulation; with the containerd/docker profiles it is
-/// the calibrated stand-in for the real library.
-class SimContainerBackend final : public ContainerBackend {
+/// The container backend, continuation-passing like the rest of the control
+/// plane: create / invoke / destroy. Create and destroy are latency
+/// samples, execution is time on the shared CpuModel. With the null profile
+/// this is exactly the paper's in-situ simulation; with the
+/// containerd/docker profiles it is the calibrated stand-in for the real
+/// library.
+///
+/// Each continuation is captured by value inside the scheduled Task, so as
+/// long as the caller's closure stays small (a handful of handles and
+/// flags) no call allocates.
+class SimContainerBackend {
  public:
   SimContainerBackend(Runtime& rt, CpuModel& cpu, Rng rng,
                       BackendLatencyProfile profile,
                       BackendFaults faults = {});
 
-  const std::string& name() const override { return profile_.name; }
-  void create_container(const FunctionProfile& profile, VoidCb cb) override;
-  void invoke(double work_seconds, double cpus, InvokeCb cb) override;
-  void destroy_container(VoidCb cb) override;
+  /// Create sandbox + agent for `profile`; `done(bool ok)` runs after the
+  /// modeled delay.
+  template <typename F>
+  void create_container(const FunctionProfile& profile, F&& done) {
+    bool ok = false;
+    Duration d = start_create(profile, ok);
+    rt_.schedule(d,
+                 [done = std::forward<F>(done), ok]() mutable { done(ok); });
+  }
 
-  std::uint64_t creates() const { return creates_; }
-  std::uint64_t destroys() const { return destroys_; }
-  std::uint64_t create_failures() const { return create_failures_; }
+  /// Execute `work_seconds` of function code at cgroup weight `cpus`;
+  /// `done(bool ok, Duration actual)` runs when it finishes, with the
+  /// contention-inflated elapsed execution time.
+  template <typename F>
+  void invoke(double work_seconds, double cpus, F&& done) {
+    const bool fail = rng_.bernoulli(faults_.invoke_failure_prob);
+    const TimePoint started = rt_.now();
+    auto on_complete = [this, done = std::forward<F>(done), started,
+                        fail]() mutable { done(!fail, rt_.now() - started); };
+    static_assert(sizeof(on_complete) <= Task::kInlineSize,
+                  "the execution continuation must fit a Task inline");
+    cpu_.submit(work_seconds, cpus, std::move(on_complete));
+  }
+
+  /// Tear down a sandbox (runs off the critical path); `done(bool ok)`.
+  template <typename F>
+  void destroy_container(F&& done) {
+    rt_.schedule(profile_.destroy.sample(rng_),
+                 [done = std::forward<F>(done)]() mutable { done(true); });
+  }
+
   std::uint64_t snapshot_restores() const { return snapshot_restores_; }
 
  private:
+  /// Draw a create's delay and outcome (`ok`).
+  Duration start_create(const FunctionProfile& profile, bool& ok);
+
   Runtime& rt_;
   CpuModel& cpu_;
   Rng rng_;
   BackendLatencyProfile profile_;
   BackendFaults faults_;
+  /// Successful creates so far; each one's count is its kColdCreate arg.
   std::uint64_t creates_ = 0;
-  std::uint64_t destroys_ = 0;
-  std::uint64_t create_failures_ = 0;
   std::uint64_t snapshot_restores_ = 0;
   /// Function names whose first container has been created (snapshot
   /// available from then on).

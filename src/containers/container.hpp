@@ -40,9 +40,10 @@ enum class ContainerState {
 struct Container {
   ContainerId id = 0;
   FunctionId fn = 0;
-  FunctionProfile profile;
   ContainerState state = ContainerState::Provisioning;
-  /// Keep-alive bookkeeping shared with the cache policies.
+  /// Keep-alive bookkeeping shared with the cache policies; `entry.mem_mb`
+  /// is the memory the pool charges for this container. The function's
+  /// profile stays in the owner's function table, looked up by `fn`.
   CacheEntry entry;
   /// Network namespace assigned from the pool (0 = none yet).
   std::uint64_t netns_id = 0;

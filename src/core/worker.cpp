@@ -39,9 +39,19 @@ ControlPlaneLatencies ControlPlaneLatencies::iluvatar_defaults() {
 }
 
 Worker::Worker(Runtime& rt, WorkerConfig cfg)
+    : Worker(rt, std::move(cfg), nullptr) {}
+
+Worker::Worker(Runtime& rt, WorkerConfig cfg,
+               const std::vector<FunctionProfile>& functions)
+    : Worker(rt, std::move(cfg), &functions) {}
+
+Worker::Worker(Runtime& rt, WorkerConfig cfg,
+               const std::vector<FunctionProfile>* shared_functions)
     : rt_(rt),
       cfg_(std::move(cfg)),
       rng_(cfg_.seed),
+      functions_(shared_functions != nullptr ? *shared_functions
+                                             : own_functions_),
       cpu_(rt, cfg_.cores),
       ka_policy_(make_policy(cfg_.keepalive_policy)),
       pool_(rt, *ka_policy_,
@@ -55,14 +65,13 @@ Worker::Worker(Runtime& rt, WorkerConfig cfg)
               // already released by the pool. The record dies when this
               // callback returns, so copy out the netns id.
               std::uint64_t ns = c.netns_id;
-              backend_->destroy_container([this, ns](bool) {
+              backend_.destroy_container([this, ns](bool) {
                 netns_.release(ns);
                 on_memory_released();
               });
             }),
       netns_(rt, rng_.substream(0x41), cfg_.netns),
-      backend_(std::make_unique<SimContainerBackend>(
-          rt, cpu_, rng_.substream(0x42), cfg_.backend, cfg_.faults)),
+      backend_(rt, cpu_, rng_.substream(0x42), cfg_.backend, cfg_.faults),
       q_policy_(make_queue_policy(cfg_.queue_policy)),
       queue_(*q_policy_, chars_),
       regulator_(cfg_.regulator) {
@@ -131,11 +140,15 @@ void Worker::schedule_regulator_tick() {
 }
 
 FunctionId Worker::register_function(FunctionProfile profile) {
+  if (&functions_ != &own_functions_) {
+    throw std::logic_error("register_function: " + cfg_.name +
+                           " reads its cluster's function table; register "
+                           "through the Cluster");
+  }
   // Image fetch and layer preparation happen out of band (§4.2); only the
   // registry bookkeeping is on this path.
-  auto id = static_cast<FunctionId>(functions_.size());
-  functions_.push_back(std::move(profile));
-  chars_.ensure(functions_.size());
+  auto id = static_cast<FunctionId>(own_functions_.size());
+  own_functions_.push_back(std::move(profile));
   return id;
 }
 
@@ -287,7 +300,7 @@ void Worker::cold_start(PendingHandle p) {
     // The netns penalty (if any) is on the critical path before create.
     rt_.schedule(penalty + evict_penalty, [this, p, c] {
       FunctionId fn = pending_.get(p).fn;
-      backend_->create_container(functions_[fn], [this, p, c](bool ok) {
+      backend_.create_container(functions_[fn], [this, p, c](bool ok) {
         if (!ok) {
           pool_.remove(c);
           Pending& rec = pending_.get(p);
@@ -329,10 +342,10 @@ void Worker::launch_exec(PendingHandle p, ContainerHandle c, bool cold) {
     FunctionId fn = r.fn;
     double work = to_sec(cold ? functions_[fn].cold_time()
                               : functions_[fn].warm_time);
-    backend_->invoke(work, functions_[fn].cpus,
-                     [this, p, c, cold](bool ok, Duration actual) {
-                       finish(p, c, cold, ok, actual);
-                     });
+    backend_.invoke(work, functions_[fn].cpus,
+                    [this, p, c, cold](bool ok, Duration actual) {
+                      finish(p, c, cold, ok, actual);
+                    });
   });
 }
 
@@ -442,7 +455,7 @@ void Worker::prewarm(FunctionId fn, std::function<void(bool)> cb) {
   netns_.acquire([this, fn, c, cb](std::uint64_t netns_id, Duration penalty) {
     pool_.get(c).netns_id = netns_id;
     rt_.schedule(penalty, [this, fn, c, cb] {
-      backend_->create_container(functions_[fn], [this, fn, c, cb](bool ok) {
+      backend_.create_container(functions_[fn], [this, fn, c, cb](bool ok) {
         if (!ok) {
           pool_.remove(c);
           if (cb) cb(false);

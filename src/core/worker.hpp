@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -20,10 +21,15 @@
 #include "runtime/runtime.hpp"
 #include "runtime/slab.hpp"
 
-/// The Ilúvatar worker (§4): the worker-centric control plane that owns a
-/// function registry, a per-worker invocation queue with a concurrency
+/// The Ilúvatar worker (§4): the worker-centric control plane that reads a
+/// function table, and owns a per-worker invocation queue with a concurrency
 /// regulator and bypass, a keep-alive container pool with background
-/// eviction, a netns pool, and a pluggable container backend.
+/// eviction, a netns pool, and a container backend.
+///
+/// Per-function state is created where a function runs: the learned
+/// characteristics on its first arrival, the pool's idle-list head on its
+/// first idle container. A standalone worker owns its function table; a
+/// cluster's workers all read the cluster's one table (DESIGN.md §21).
 namespace ilu {
 
 /// Per-stage latency models for the worker control plane, calibrated to the
@@ -92,7 +98,14 @@ class Worker {
   using InvokeCb = std::function<void(const InvokeResult&)>;
   using AsyncToken = std::uint64_t;
 
+  /// A standalone worker that owns its function table: functions are
+  /// added with register_function.
   Worker(Runtime& rt, WorkerConfig cfg);
+  /// A worker that reads a function table owned elsewhere (a Cluster's).
+  /// `functions` must outlive the worker, and may grow only while no event
+  /// of this worker runs; register_function is refused.
+  Worker(Runtime& rt, WorkerConfig cfg,
+         const std::vector<FunctionProfile>& functions);
   ~Worker();
 
   Worker(const Worker&) = delete;
@@ -104,6 +117,8 @@ class Worker {
   void shutdown();
 
   /// Register a function (image preparation happens out of band, §4.2).
+  /// Throws std::logic_error on a worker that reads a shared table: its
+  /// owner registers functions.
   FunctionId register_function(FunctionProfile profile);
   const FunctionProfile& profile(FunctionId fn) const;
   std::size_t num_functions() const { return functions_.size(); }
@@ -153,6 +168,9 @@ class Worker {
   Runtime& runtime() { return rt_; }
 
  private:
+  Worker(Runtime& rt, WorkerConfig cfg,
+         const std::vector<FunctionProfile>* shared_functions);
+
   struct Pending {
     FunctionId fn = 0;
     TimePoint submitted{};
@@ -198,7 +216,10 @@ class Worker {
   WorkerConfig cfg_;
   Rng rng_;
 
-  std::vector<FunctionProfile> functions_;
+  /// The table a standalone worker owns (empty when it reads a shared one).
+  std::vector<FunctionProfile> own_functions_;
+  /// The table this worker reads: own_functions_ or its cluster's.
+  const std::vector<FunctionProfile>& functions_;
   CharacteristicsMap chars_;
   MetricsRegistry metrics_;
   /// Instruments resolved once at construction; hot-path updates are
@@ -221,7 +242,7 @@ class Worker {
   std::unique_ptr<KeepAlivePolicy> ka_policy_;
   ContainerPool pool_;
   NetnsPool netns_;
-  std::unique_ptr<ContainerBackend> backend_;
+  SimContainerBackend backend_;
   std::unique_ptr<QueuePolicy> q_policy_;
   InvocationQueue queue_;
   ConcurrencyRegulator regulator_;

@@ -106,10 +106,10 @@ void ContainerPool::evict_one(ContainerHandle h, bool expired) {
     ++evictions_;
     if (metrics_.evictions) metrics_.evictions->inc();
   }
-  used_mb_ -= c.profile.mem_mb;
+  used_mb_ -= c.entry.mem_mb;
   c.state = ContainerState::Removed;
   // The record stays in the slab for the duration of the callback so the
-  // worker can read teardown state (netns id, profile) without a copy.
+  // worker can read teardown state (netns id) without a copy.
   if (on_evict_) on_evict_(c);
   store_.erase(h);
   sync_metrics();
@@ -153,7 +153,6 @@ ContainerHandle ContainerPool::add_container(FunctionId fn,
   Container& c = store_.get(h);
   c.id = next_id_++;
   c.fn = fn;
-  c.profile = profile;
   c.state = ContainerState::Provisioning;
   c.entry.fn = fn;
   c.entry.mem_mb = profile.mem_mb;
@@ -199,7 +198,7 @@ void ContainerPool::park_prewarmed(ContainerHandle h, TimePoint now) {
 void ContainerPool::remove(ContainerHandle h) {
   Container& c = store_.get(h);
   if (c.state == ContainerState::Idle) remove_idle(h, c);
-  used_mb_ -= c.profile.mem_mb;
+  used_mb_ -= c.entry.mem_mb;
   c.state = ContainerState::Removed;
   store_.erase(h);
   sync_metrics();
@@ -258,7 +257,7 @@ bool ContainerPool::validate(std::string* why) const {
   std::string msg;
   store_.for_each([&](ContainerHandle h, const Container& c) {
     if (!ok) return;
-    mem += c.profile.mem_mb;
+    mem += c.entry.mem_mb;
     if (c.state == ContainerState::Idle) {
       ++idle;
       if (c.prewarm_parked) ++prewarmed;
@@ -280,7 +279,9 @@ bool ContainerPool::validate(std::string* why) const {
     (void)h;
   });
   if (!ok) return fail(msg);
-  if (mem != used_mb_) return fail("used_mb does not match sum of profiles");
+  if (mem != used_mb_) {
+    return fail("used_mb does not match sum of container sizes");
+  }
   if (idle != rank_.size()) return fail("rank index size != idle count");
   if (prewarmed != prewarmed_idle_) return fail("prewarmed count mismatch");
 

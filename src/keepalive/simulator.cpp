@@ -6,9 +6,9 @@ namespace ilu {
 
 KeepAliveReplay::KeepAliveReplay(KeepAlivePolicy& policy,
                                  std::uint64_t capacity_mb,
-                                 std::vector<FunctionProfile> functions)
+                                 const std::vector<FunctionProfile>& functions)
     : policy_(policy),
-      functions_(std::move(functions)),
+      functions_(functions),
       pool_(rt_, policy,
             ContainerPool::Config{.capacity_mb = capacity_mb,
                                   .free_buffer_mb = 0,

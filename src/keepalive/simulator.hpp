@@ -56,8 +56,12 @@ class KeepAliveReplay {
     }
   };
 
+  /// Reads `functions` (usually the trace's own table) by reference; it
+  /// must outlive the replay, so a temporary is refused at compile time.
   KeepAliveReplay(KeepAlivePolicy& policy, std::uint64_t capacity_mb,
-                  std::vector<FunctionProfile> functions);
+                  const std::vector<FunctionProfile>& functions);
+  KeepAliveReplay(KeepAlivePolicy& policy, std::uint64_t capacity_mb,
+                  std::vector<FunctionProfile>&& functions) = delete;
 
   KeepAliveReplay(const KeepAliveReplay&) = delete;
   KeepAliveReplay& operator=(const KeepAliveReplay&) = delete;
@@ -79,7 +83,7 @@ class KeepAliveReplay {
 
   SimRuntime rt_;
   KeepAlivePolicy& policy_;
-  std::vector<FunctionProfile> functions_;
+  const std::vector<FunctionProfile>& functions_;
   ContainerPool pool_;
   /// Per function: a policy-requested prewarm is already scheduled.
   std::vector<bool> prewarm_pending_;

@@ -47,7 +47,7 @@ void Cluster::build_workers() {
     const std::size_t shard = shard_of[i];
     Runtime& wrt = srt_ ? static_cast<Runtime&>(srt_->shard(shard)) : rt_;
     worker_shard_.push_back(shard);
-    workers_.push_back(std::make_unique<Worker>(wrt, wc));
+    workers_.push_back(std::make_unique<Worker>(wrt, wc, functions_));
     dispatch_counters_.push_back(metrics_.counter("lb.dispatch." + wc.name));
   }
   forwarded_counter_ = metrics_.counter("lb.forwarded");
@@ -62,16 +62,10 @@ void Cluster::shutdown() {
 }
 
 FunctionId Cluster::register_function(const FunctionProfile& profile) {
-  FunctionId id = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    FunctionId got = workers_[i]->register_function(profile);
-    assert((i == 0 || got == id) &&
-           "workers disagree on a function id: was a function registered "
-           "directly on one worker as well as through the cluster?");
-    id = got;
-  }
-  fn_hashes_.push_back(ConsistentHashRing::hash_key(
-      profile.name + "#" + std::to_string(fn_hashes_.size())));
+  auto id = static_cast<FunctionId>(functions_.size());
+  fn_hashes_.push_back(ConsistentHashRing::hash_key(profile.name + "#" +
+                                                    std::to_string(id)));
+  functions_.push_back(profile);
   return id;
 }
 

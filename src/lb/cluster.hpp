@@ -68,13 +68,21 @@ class Cluster {
   /// not exceed cfg.rpc.lower_bound().
   Cluster(ShardedRuntime& srt, ClusterConfig cfg);
 
+  /// Workers hold a reference to the function table.
+  Cluster(const Cluster&) = delete;
+  Cluster& operator=(const Cluster&) = delete;
+
   void start();
   void shutdown();
 
-  /// Registers the function on every worker (functions can run anywhere).
-  /// All workers must assign the same id; disagreement is a wiring bug
-  /// (e.g. registering through a worker directly as well as the cluster).
+  /// Appends the function to the cluster's function table, which every
+  /// worker reads (functions can run anywhere), and hashes its CH-BL key.
+  /// Workers create per-function state only on a function's first arrival,
+  /// so registering costs O(1) per function whatever the worker count.
+  /// Register before the run starts: sharded workers read the table from
+  /// their shard threads without synchronization.
   FunctionId register_function(const FunctionProfile& profile);
+  const std::vector<FunctionProfile>& functions() const { return functions_; }
 
   /// Route and invoke; cb fires with the worker's result, on the LB's
   /// event loop (shard 0 in sharded mode).
@@ -118,6 +126,9 @@ class Cluster {
   ShardedRuntime* srt_ = nullptr;
   ClusterConfig cfg_;
   Rng rng_;
+  /// The function table, indexed by FunctionId; workers read it by
+  /// reference.
+  std::vector<FunctionProfile> functions_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::size_t> worker_shard_;
   /// Ring hash of each function's CH-BL key, computed at registration.

@@ -23,7 +23,7 @@ namespace ilu {
 class Runtime {
  public:
   /// Move-only small-buffer-optimized callable (see runtime/task.hpp):
-  /// captures up to 48 B schedule without any heap allocation.
+  /// captures up to 56 B schedule without any heap allocation.
   using Task = ilu::Task;
   /// Identifies a scheduled timer; usable with cancel().
   using TimerId = std::uint64_t;

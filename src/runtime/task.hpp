@@ -10,17 +10,21 @@
 /// The discrete-event hot path schedules, moves (heap sifts), and fires
 /// millions of closures per second; `std::function` heap-allocates for any
 /// capture larger than the libstdc++ 16-byte SBO and drags copy machinery we
-/// never use. `Task` stores captures up to 48 bytes inline (a cache line
-/// together with its dispatch pointer), never copies, and erases through a
-/// static ops table — so the schedule/fire cycle of a typical worker closure
-/// (a few pointers and a TimePoint) does zero allocations.
+/// never use. `Task` stores captures up to 56 bytes inline (one 64-byte cache
+/// line together with its dispatch pointer), never copies, and erases
+/// through a static ops table — so the schedule/fire cycle of a typical
+/// worker closure (a few pointers and a TimePoint) does zero allocations.
 namespace ilu {
 
 class Task {
  public:
   /// Captures up to this size (and alignof <= kInlineAlign, nothrow-movable)
-  /// are stored inline; larger ones fall back to a single heap node.
-  static constexpr std::size_t kInlineSize = 48;
+  /// are stored inline; larger ones fall back to a single heap node. The
+  /// buffer is 16-aligned, so 56 B plus the ops pointer is exactly 64 B:
+  /// anything smaller would only leave padding. The container backend's
+  /// execution continuation (`this`, a 32 B caller closure, the start time
+  /// and the fault flag) is the per-invocation capture that needs all 56 B.
+  static constexpr std::size_t kInlineSize = 56;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
   Task() noexcept = default;
@@ -123,5 +127,7 @@ class Task {
   alignas(kInlineAlign) unsigned char buf_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(Task) == 64, "a Task is one cache line");
 
 }  // namespace ilu

@@ -36,31 +36,20 @@ MovingWindow::MovingWindow(std::size_t capacity) : capacity_(capacity) {
 }
 
 void MovingWindow::add(double x) {
-  values_.push_back(x);
   sum_ += x;
-  if (values_.size() > capacity_) {
-    sum_ -= values_.front();
-    values_.pop_front();
+  if (ring_.size() < capacity_) {
+    if (ring_.empty()) ring_.reserve(capacity_);
+    ring_.push_back(x);
+    return;
   }
+  sum_ -= ring_[head_];
+  ring_[head_] = x;
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
 }
 
 double MovingWindow::mean() const {
-  if (values_.empty()) return 0.0;
-  return sum_ / static_cast<double>(values_.size());
-}
-
-double MovingWindow::min() const {
-  if (values_.empty()) return 0.0;
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double MovingWindow::max() const {
-  if (values_.empty()) return 0.0;
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double MovingWindow::last() const {
-  return values_.empty() ? 0.0 : values_.back();
+  if (ring_.empty()) return 0.0;
+  return sum_ / static_cast<double>(ring_.size());
 }
 
 ExpDecayAverage::ExpDecayAverage(double tau_seconds) : tau_(tau_seconds) {

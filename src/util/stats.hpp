@@ -38,20 +38,24 @@ class Welford {
 };
 
 /// Fixed-capacity moving window with O(1) mean maintenance.
+///
+/// The samples live in a ring that is allocated once, at its full capacity,
+/// on the first add (an empty window owns no memory). The running sum adds
+/// the new sample before it subtracts the one it replaces, so every mean is
+/// bit-identical to a push-back/pop-front window over the same stream.
 class MovingWindow {
  public:
   explicit MovingWindow(std::size_t capacity = 10);
   void add(double x);
-  bool empty() const { return values_.empty(); }
-  std::size_t size() const { return values_.size(); }
+  bool empty() const { return ring_.empty(); }
+  std::size_t size() const { return ring_.size(); }
   double mean() const;
-  double min() const;
-  double max() const;
-  double last() const;
 
  private:
   std::size_t capacity_;
-  std::deque<double> values_;
+  /// Grows to capacity_, then the oldest sample (at head_) is overwritten.
+  std::vector<double> ring_;
+  std::size_t head_ = 0;
   double sum_ = 0.0;
 };
 

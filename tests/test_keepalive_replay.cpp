@@ -7,6 +7,8 @@
 namespace ilu {
 namespace {
 
+// KeepAliveReplay reads its function table by reference, so each test holds
+// this table in a named vector for the replay's lifetime.
 std::vector<FunctionProfile> two_functions() {
   return {
       lookbusy(secs(1), /*mem=*/100, /*init=*/secs(2)),   // fn 0
@@ -16,7 +18,8 @@ std::vector<FunctionProfile> two_functions() {
 
 TEST(KeepAliveReplay, FirstInvocationIsCold) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   auto out = replay.on_invocation(0, secs(0));
   EXPECT_FALSE(out.warm);
   EXPECT_FALSE(out.dropped);
@@ -28,7 +31,8 @@ TEST(KeepAliveReplay, FirstInvocationIsCold) {
 
 TEST(KeepAliveReplay, SecondInvocationAfterReleaseIsWarm) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.on_invocation(0, secs(0));       // cold, busy until t=3
   auto out = replay.on_invocation(0, secs(10));
   EXPECT_TRUE(out.warm);
@@ -39,7 +43,8 @@ TEST(KeepAliveReplay, SecondInvocationAfterReleaseIsWarm) {
 
 TEST(KeepAliveReplay, ConcurrentInvocationsOfSameFunctionAreColdSpawnStart) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.on_invocation(0, secs(0));
   // Arrives while the only container is still busy (release at t=3).
   auto out = replay.on_invocation(0, secs(1));
@@ -49,7 +54,8 @@ TEST(KeepAliveReplay, ConcurrentInvocationsOfSameFunctionAreColdSpawnStart) {
 
 TEST(KeepAliveReplay, BusyContainersPinMemoryAndCauseDrops) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 350, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 350, fns);
   replay.on_invocation(1, secs(0));  // 300 MB busy until t=7
   auto out = replay.on_invocation(1, secs(1));
   EXPECT_TRUE(out.dropped);  // no idle to evict, 300+300 > 350
@@ -58,7 +64,8 @@ TEST(KeepAliveReplay, BusyContainersPinMemoryAndCauseDrops) {
 
 TEST(KeepAliveReplay, EvictsIdleToMakeRoom) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 350, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 350, fns);
   replay.on_invocation(0, secs(0));           // fn0 cold, idle at t=3
   auto out = replay.on_invocation(1, secs(5));  // needs 300, 100+300 > 350
   EXPECT_FALSE(out.dropped);
@@ -85,7 +92,8 @@ TEST(KeepAliveReplay, LruEvictsLeastRecentlyUsed) {
 
 TEST(KeepAliveReplay, TtlExpiresIdleContainers) {
   TtlPolicy policy(mins(10));
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.on_invocation(0, secs(0));
   // After 10 minutes + sweep slack the container must be gone.
   auto out = replay.on_invocation(0, mins(15));
@@ -95,7 +103,8 @@ TEST(KeepAliveReplay, TtlExpiresIdleContainers) {
 
 TEST(KeepAliveReplay, TtlKeepsWithinWindow) {
   TtlPolicy policy(mins(10));
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.on_invocation(0, secs(0));
   auto out = replay.on_invocation(0, mins(9));
   EXPECT_TRUE(out.warm);
@@ -103,7 +112,8 @@ TEST(KeepAliveReplay, TtlKeepsWithinWindow) {
 
 TEST(KeepAliveReplay, WorkConservingLruKeepsBeyondTtlWindow) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.on_invocation(0, secs(0));
   auto out = replay.on_invocation(0, mins(60));
   EXPECT_TRUE(out.warm) << "LRU is work-conserving: no TTL expiry";
@@ -111,7 +121,8 @@ TEST(KeepAliveReplay, WorkConservingLruKeepsBeyondTtlWindow) {
 
 TEST(KeepAliveReplay, StatsAccounting) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.on_invocation(0, secs(0));    // cold: base 1 s, init 2 s
   replay.on_invocation(0, secs(10));   // warm: base 1 s
   replay.on_invocation(0, secs(20));   // warm
@@ -125,7 +136,8 @@ TEST(KeepAliveReplay, StatsAccounting) {
 
 TEST(KeepAliveReplay, ShrinkCapacityEvictsIdle) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.on_invocation(0, secs(0));
   replay.on_invocation(1, secs(1));
   replay.advance_to(secs(30));  // both idle; used = 400
@@ -137,7 +149,8 @@ TEST(KeepAliveReplay, ShrinkCapacityEvictsIdle) {
 
 TEST(KeepAliveReplay, GrowCapacityAllowsMoreContainers) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 100, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 100, fns);
   EXPECT_TRUE(replay.on_invocation(1, secs(0)).dropped);  // 300 > 100
   replay.pool().set_capacity_mb(500);
   EXPECT_FALSE(replay.on_invocation(1, secs(1)).dropped);
@@ -180,7 +193,8 @@ TEST(KeepAliveReplay, HistPrewarmBringsContainerBack) {
 
 TEST(KeepAliveReplay, AdvanceToIsMonotonic) {
   LruPolicy policy;
-  KeepAliveReplay replay(policy, 1000, two_functions());
+  const auto fns = two_functions();
+  KeepAliveReplay replay(policy, 1000, fns);
   replay.advance_to(secs(5));
   replay.advance_to(secs(5));  // same time ok
   replay.advance_to(secs(6));

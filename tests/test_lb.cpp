@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "lb/chbl.hpp"
 #include "lb/cluster.hpp"
@@ -293,6 +297,124 @@ TEST(Cluster, LeastLoadedAvoidsBusyWorker) {
   EXPECT_EQ(cluster.routed()[0], 2u);
   EXPECT_EQ(cluster.routed()[1], 2u);
   cluster.shutdown();
+}
+
+TEST(Cluster, FunctionIdsComeFromTheOneTable) {
+  SimRuntime rt;
+  ClusterConfig cfg;
+  cfg.num_workers = 3;
+  Cluster cluster(rt, cfg);
+  FunctionProfile a = pyaes();
+  FunctionProfile b = lookbusy(secs(1), 256, secs(2));
+  EXPECT_EQ(cluster.register_function(a), 0u);
+  EXPECT_EQ(cluster.register_function(b), 1u);
+  ASSERT_EQ(cluster.functions().size(), 2u);
+  for (std::size_t i = 0; i < cluster.num_workers(); ++i) {
+    const Worker& w = cluster.worker(i);
+    EXPECT_EQ(w.num_functions(), 2u);
+    // Every worker reads the cluster's table itself, not a copy of it.
+    EXPECT_EQ(&w.profile(0), &cluster.functions()[0]);
+    EXPECT_EQ(&w.profile(1), &cluster.functions()[1]);
+    EXPECT_EQ(w.profile(1).mem_mb, 256u);
+    // Registration created no per-function state on any worker.
+    EXPECT_EQ(w.characteristics().tracked(), 0u);
+  }
+}
+
+TEST(Cluster, RegisteringOnAClusterWorkerIsRefused) {
+  SimRuntime rt;
+  ClusterConfig cfg;
+  cfg.num_workers = 2;
+  Cluster cluster(rt, cfg);
+  cluster.register_function(pyaes());
+  EXPECT_THROW(cluster.worker(1).register_function(pyaes()),
+               std::logic_error);
+  EXPECT_EQ(cluster.functions().size(), 1u);
+  EXPECT_EQ(cluster.worker(0).num_functions(), 1u);
+}
+
+TEST(Cluster, CharacteristicsExistOnlyWhereAFunctionRan) {
+  SimRuntime rt;
+  ClusterConfig cfg;
+  cfg.num_workers = 4;
+  Cluster cluster(rt, cfg);
+  for (int i = 0; i < 50; ++i) {
+    FunctionProfile p = pyaes();
+    p.name = "fn_" + std::to_string(i);
+    cluster.register_function(p);
+  }
+  cluster.start();
+  int done = 0;
+  cluster.invoke(7, [&](const InvokeResult& r) {
+    EXPECT_TRUE(r.success);
+    ++done;
+  });
+  rt.run_for(mins(1));
+  cluster.shutdown();
+  ASSERT_EQ(done, 1);
+  std::size_t tracked = 0;
+  for (std::size_t i = 0; i < cluster.num_workers(); ++i) {
+    const Worker& w = cluster.worker(i);
+    tracked += w.characteristics().tracked();
+    if (cluster.routed()[i] > 0) {
+      EXPECT_EQ(w.characteristics().arrivals(7), 1u);
+    }
+  }
+  EXPECT_EQ(tracked, 1u);
+}
+
+/// This process's resident set size in bytes, or -1 when /proc is absent.
+std::int64_t vm_rss_bytes() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stoll(line.substr(6)) * 1024;
+    }
+  }
+  return -1;
+}
+
+// The registration memory gate (DESIGN.md §21): workers keep per-function
+// state only for the functions they run, so registering on a 16-worker
+// cluster costs the one shared table plus the CH-BL key hashes, whatever
+// the worker count.
+TEST(Cluster, RegistrationMemoryGate) {
+  constexpr std::size_t kWorkers = 16;
+  SimRuntime rt;
+  ClusterConfig cfg;
+  cfg.num_workers = kWorkers;
+  Cluster cluster(rt, cfg);
+  const std::int64_t before = vm_rss_bytes();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status on this host";
+  FunctionProfile p = pyaes();
+  std::size_t registered = 0;
+  auto register_up_to = [&](std::size_t n) {
+    for (; registered < n; ++registered) {
+      p.name = "fn_" + std::to_string(registered);
+      cluster.register_function(p);
+    }
+  };
+
+  constexpr std::size_t kFirst = 20'000;
+  register_up_to(kFirst);
+  const double per_fn_worker =
+      static_cast<double>(vm_rss_bytes() - before) /
+      static_cast<double>(kFirst * kWorkers);
+  // ASSERT, not EXPECT: at ~1.5 KB per function per worker the next stage
+  // would need ~25 GB.
+  ASSERT_LE(per_fn_worker, 64.0)
+      << "registering " << kFirst << " functions on " << kWorkers
+      << " workers grew RSS by " << per_fn_worker
+      << " B per function per worker";
+
+  constexpr std::size_t kAll = 1'000'000;
+  register_up_to(kAll);
+  const std::int64_t growth = vm_rss_bytes() - before;
+  EXPECT_LE(growth, std::int64_t{1} << 30)
+      << "registering " << kAll << " functions on " << kWorkers
+      << " workers grew RSS by " << growth / (1 << 20) << " MB";
+  EXPECT_EQ(cluster.functions().size(), kAll);
 }
 
 }  // namespace

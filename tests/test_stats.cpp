@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -65,14 +67,50 @@ TEST(MovingWindow, EvictsOldest) {
   EXPECT_EQ(mw.size(), 3u);
 }
 
-TEST(MovingWindow, MinMaxLast) {
-  MovingWindow mw(4);
-  mw.add(5.0);
-  mw.add(1.0);
-  mw.add(9.0);
-  EXPECT_DOUBLE_EQ(mw.min(), 1.0);
-  EXPECT_DOUBLE_EQ(mw.max(), 9.0);
-  EXPECT_DOUBLE_EQ(mw.last(), 9.0);
+/// The deque-backed window the ring replaced, kept as the reference for
+/// bit-identical means: push back and add, then subtract and pop the oldest.
+class DequeWindow {
+ public:
+  explicit DequeWindow(std::size_t capacity) : capacity_(capacity) {}
+  void add(double x) {
+    values_.push_back(x);
+    sum_ += x;
+    if (values_.size() > capacity_) {
+      sum_ -= values_.front();
+      values_.pop_front();
+    }
+  }
+  std::size_t size() const { return values_.size(); }
+  double mean() const {
+    return values_.empty() ? 0.0
+                           : sum_ / static_cast<double>(values_.size());
+  }
+
+ private:
+  std::size_t capacity_;
+  std::deque<double> values_;
+  double sum_ = 0.0;
+};
+
+TEST(MovingWindow, RingMeansAreBitIdenticalToDequeWindow) {
+  for (std::size_t capacity : {1u, 2u, 10u, 32u}) {
+    Rng rng(capacity);
+    MovingWindow ring(capacity);
+    DequeWindow reference(capacity);
+    for (int i = 0; i < 5000; ++i) {
+      // Mixed magnitudes make the rounding of the running sum depend on
+      // the exact order of its additions and subtractions.
+      double x = rng.lognormal_median(1.0, 3.0) * (i % 7 == 0 ? 1e6 : 1.0);
+      ring.add(x);
+      reference.add(x);
+      ASSERT_EQ(ring.size(), reference.size());
+      const double a = ring.mean();
+      const double b = reference.mean();
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+          << "capacity " << capacity << " sample " << i << ": " << a
+          << " != " << b;
+    }
+  }
 }
 
 TEST(MovingWindow, EmptyIsZero) {

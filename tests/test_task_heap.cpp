@@ -37,8 +37,8 @@ TEST(Task, SmallCaptureStoredInlineAndRuns) {
 }
 
 TEST(Task, CaptureAtInlineBoundaryStaysInline) {
-  // 40 B of payload + 8 B pointer = 48 B: exactly the inline budget.
-  std::array<std::uint64_t, 5> payload{1, 2, 3, 4, 5};
+  // 48 B of payload + 8 B pointer = 56 B: exactly the inline budget.
+  std::array<std::uint64_t, 6> payload{1, 2, 3, 4, 5, 6};
   std::uint64_t sum = 0;
   std::uint64_t* out = &sum;
   Task t([payload, out] {
@@ -46,7 +46,7 @@ TEST(Task, CaptureAtInlineBoundaryStaysInline) {
   });
   EXPECT_TRUE(t.is_inline());
   t();
-  EXPECT_EQ(sum, 15u);
+  EXPECT_EQ(sum, 21u);
 }
 
 TEST(Task, OversizedCaptureFallsBackToHeapAndRuns) {

@@ -3,6 +3,8 @@
 
     python3 tools/bench_ab.py --parent REV --pairs N --seconds S --label L
         [--workload W ...] [--work DIR] [--ledger FILE]
+    python3 tools/bench_ab.py --compare LABEL_A LABEL_B [--ledger FILE]
+    python3 tools/bench_ab.py --selftest
 
 Run from anywhere inside the repository. The parent is exported with
 `git archive` into a temporary directory (no worktree is registered, so an
@@ -28,6 +30,13 @@ verdict:
 
 A pair in which either side fails its output checks is recorded as failed
 and left out of the statistics. Nothing under perfbench/ is modified.
+
+--compare reads two earlier A/B records from the ledger and writes nothing.
+For every workload both labels recorded, it prints each end-to-end metric
+whose change-side median moved from LABEL_A's record to LABEL_B's by more
+than the wider of the two change-side IQRs, with the relative move and
+whether it is better or worse in the metric's sense. --selftest checks that
+comparison on two synthetic records.
 """
 import argparse
 import datetime
@@ -128,6 +137,94 @@ def summarize(spec, pairs):
     return out
 
 
+def latest_ab(runs, label):
+    """The last A/B record per workload under `label`."""
+    out = {}
+    for r in runs:
+        if r.get("kind") == "ab" and r.get("label") == label:
+            out[r["workload"]] = r
+    return out
+
+
+def compare(runs, label_a, label_b):
+    """Moves outside the noise band between two labels' A/B records, as
+    (workload, metric, a, b, relative move, "better"|"worse") tuples. The
+    band is the wider of the two change-side IQRs."""
+    a_recs, b_recs = latest_ab(runs, label_a), latest_ab(runs, label_b)
+    for label, recs in ((label_a, a_recs), (label_b, b_recs)):
+        if not recs:
+            raise SystemExit(f"bench_ab: no A/B record labelled {label!r}")
+    moves = []
+    for workload in a_recs:
+        if workload not in b_recs:
+            continue
+        ma, mb = a_recs[workload]["metrics"], b_recs[workload]["metrics"]
+        for name in ma:
+            if name not in mb:
+                continue
+            a, b = ma[name]["change_median"], mb[name]["change_median"]
+            noise = max(ma[name]["change_iqr"], mb[name]["change_iqr"])
+            if abs(b - a) <= noise:
+                continue
+            lower = ma[name]["better"] == "lower"
+            better = (b < a) if lower else (b > a)
+            moves.append((workload, name, a, b, rel(b, a),
+                          "better" if better else "worse"))
+    return moves
+
+
+def print_compare(runs, label_a, label_b):
+    moves = compare(runs, label_a, label_b)
+    for workload, name, a, b, move, direction in moves:
+        print(f"{workload:16s} {name:16s} {a:12.5g} -> {b:12.5g} "
+              f"{move:+8.2%} {direction}")
+    if not moves:
+        print(f"no end-to-end metric moved outside the noise band between "
+              f"{label_a!r} and {label_b!r}")
+    return 0
+
+
+def selftest():
+    """compare() on two synthetic records: a move beyond the wider IQR is
+    reported with its direction, one inside it is not, and a workload only
+    one label recorded is skipped."""
+    def metric(median, iqr, better="lower"):
+        return {"better": better, "change_median": median, "change_iqr": iqr}
+
+    def record(label, workload, metrics):
+        return {"kind": "ab", "label": label, "workload": workload,
+                "metrics": metrics}
+
+    runs = [
+        record("old", "w", {"rss": metric(20.0, 0.5),
+                            "rate": metric(100.0, 2.0, "higher"),
+                            "cpu": metric(5.0, 0.1),
+                            "p99": metric(1.0, 0.1)}),
+        record("old", "only_old", {"rss": metric(1.0, 0.0)}),
+        record("stale", "w", {"rss": metric(99.0, 0.0)}),
+        record("new", "w", {"rss": metric(12.0, 0.2),     # better, beyond 0.5
+                            "rate": metric(96.0, 3.0, "higher"),  # worse, > 3
+                            "cpu": metric(5.3, 0.4),      # inside the 0.4 band
+                            "p99": metric(1.05, 0.01)}),  # inside the 0.1 band
+    ]
+    got = compare(runs, "old", "new")
+    want = [("w", "rss", 20.0, 12.0, -0.4, "better"),
+            ("w", "rate", 100.0, 96.0, -0.04, "worse")]
+    ok = [(w, n, a, b, d) for w, n, a, b, _, d in got] == \
+        [(w, n, a, b, d) for w, n, a, b, _, d in want] and \
+        all(abs(g[4] - w[4]) < 1e-12 for g, w in zip(got, want))
+    # The latest record of a label wins.
+    runs.append(record("old", "w", {"rss": metric(12.0, 0.0)}))
+    ok = ok and [m[1] for m in compare(runs, "old", "new")] == []
+    try:
+        compare(runs, "old", "missing")
+        ok = False
+    except SystemExit:
+        pass
+    print(f"bench_ab selftest: {'ok' if ok else 'FAILED'}")
+    return 0 if ok else 1
+
+
 def append_records(ledger, records):
     """Splice the records in at the end of the ledger's "runs" list, leaving
     every earlier record's text (and its float digits) untouched."""
@@ -197,20 +294,31 @@ def ab(args, root, spec, workloads, ledger, work):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="parent revision")
+    ap.add_argument("--parent", help="parent revision")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=45)
-    ap.add_argument("--label", required=True, help="ledger record label")
+    ap.add_argument("--label", help="ledger record label")
+    ap.add_argument("--compare", nargs=2, metavar=("LABEL_A", "LABEL_B"),
+                    help="print the moves between two labels' records")
+    ap.add_argument("--selftest", action="store_true",
+                    help="check --compare on synthetic records")
     ap.add_argument("--workload", action="append",
                     help="restrict to this workload (repeatable)")
     ap.add_argument("--work", help="scratch directory (default: a temp dir)")
     ap.add_argument("--ledger", help="ledger file (default: BENCH_core.json)")
     args = ap.parse_args()
+    if args.selftest:
+        return selftest()
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
+    ledger = Path(args.ledger) if args.ledger else root / "BENCH_core.json"
+    if args.compare:
+        runs = json.loads(ledger.read_text())["runs"]
+        return print_compare(runs, *args.compare)
+    if not args.parent or not args.label:
+        ap.error("--parent and --label are required to run an A/B")
     spec = json.loads((root / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    ledger = Path(args.ledger) if args.ledger else root / "BENCH_core.json"
     if args.work:
         work = Path(args.work)
         work.mkdir(parents=True, exist_ok=True)
