@@ -2,10 +2,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "iluvatar.hpp"
+#include "util/json.hpp"
 
 /// Shared helpers for the per-figure/table benchmark binaries.
 namespace ilu::bench {
@@ -20,6 +24,44 @@ inline void banner(const std::string& title) {
   std::printf("\n============================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("============================================================\n");
+}
+
+/// Append `record` to the perf ledger at `path` (BENCH_core.json's layout:
+/// {"runs": [...], "schema": ...}, pretty-printed at indent 2) without
+/// touching the text of the records before it: the record's text is spliced
+/// in before the runs array's closing "\n  ]", as tools/bench_ab.py does.
+/// Re-dumping the whole document would rewrite every earlier record's float
+/// digits. A missing file is written fresh; a file without a non-empty runs
+/// array, or a splice that does not parse, throws and leaves `path` as it was.
+inline void append_ledger_record(const std::string& path,
+                                 const JsonObject& record) {
+  std::string text;
+  if (std::filesystem::exists(path)) {
+    std::ifstream in(path, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+    const std::size_t end = text.rfind("\n  ]");
+    if (end == std::string::npos) {
+      throw std::runtime_error(path + ": no runs array to append to");
+    }
+    // Indent the record to its depth inside "runs", as a whole-document
+    // dump would.
+    std::string body = "    ";
+    for (char c : JsonValue(record).dump(2)) {
+      body += c;
+      if (c == '\n') body += "    ";
+    }
+    text.insert(end, ",\n" + body);
+    (void)json_parse(text);
+  } else {
+    JsonObject doc;
+    doc["runs"] = JsonArray{JsonValue(record)};
+    doc["schema"] = "ilu-bench-core-v1";
+    text = JsonValue(doc).dump(2) + "\n";
+  }
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  if (!out) throw std::runtime_error(path + ": write failed");
 }
 
 /// Drive a closed loop against any invoker and collect results.

@@ -21,7 +21,7 @@
 // trace_replay_smoke perf test.
 //
 // --bench-out appends a run record (label, gen/replay events/s, peak RSS)
-// to the ilu-bench-core-v1 trajectory file, as run_all does.
+// to the BENCH_core.json ledger, as run_all does.
 
 #include <sys/resource.h>
 
@@ -30,8 +30,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -326,27 +324,9 @@ int main(int argc, char** argv) try {
         static_cast<std::int64_t>(std::thread::hardware_concurrency());
     run["smoke"] = smoke;
     run["trace_replay_scale"] = rec;
-
-    JsonObject doc;
-    JsonArray runs;
-    if (std::filesystem::exists(bench_out)) {
-      try {
-        JsonValue existing = json_parse_file(bench_out);
-        if (const JsonValue* r = existing.find("runs"); r && r->is_array()) {
-          runs = r->as_array();
-        }
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "warning: could not parse %s (%s); rewriting\n",
-                     bench_out.c_str(), e.what());
-      }
-    }
-    runs.emplace_back(run);
-    doc["schema"] = "ilu-bench-core-v1";
-    doc["runs"] = runs;
-    std::ofstream out(bench_out);
-    out << JsonValue(doc).dump(2) << "\n";
-    std::printf("appended run '%s' to %s (%zu total)\n", label.c_str(),
-                bench_out.c_str(), runs.size());
+    append_ledger_record(bench_out, run);
+    std::printf("appended run '%s' to %s\n", label.c_str(),
+                bench_out.c_str());
   }
 
   if (generated && !keep) std::remove(arena_path.c_str());

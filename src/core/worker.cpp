@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "keepalive/policy.hpp"
-#include "util/log.hpp"
 
 namespace ilu {
 

@@ -1,4 +1,5 @@
 #include "exp/sweep.hpp"
+// ilu-lint: atomics-floor(relaxed) - each fetch_add hands out a distinct index and the join publishes the results; the done count only feeds the progress line
 
 #include <algorithm>
 #include <chrono>
@@ -6,70 +7,26 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
-
-#include "util/log.hpp"
 
 namespace ilu::exp {
 
 namespace {
 
-/// One worker's job queue: owner pops from the front, thieves steal from
-/// the back. A plain mutex per deque is ample here — sweep tasks are whole
-/// simulations (milliseconds to minutes), so queue traffic is negligible.
-struct WorkDeque {
-  std::mutex mu;
-  std::deque<std::size_t> jobs;
-
-  bool pop_front(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (jobs.empty()) return false;
-    out = jobs.front();
-    jobs.pop_front();
-    return true;
-  }
-  bool steal_back(std::size_t& out) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (jobs.empty()) return false;
-    out = jobs.back();
-    jobs.pop_back();
-    return true;
-  }
-};
-
-/// RAII capture of one task's log output: installs a thread-local string
-/// sink on construction and — even during exception unwinding — restores
-/// the previous sink and stores the captured text on destruction, so a
-/// throwing job can never leave the thread pointing at a dead sink.
-struct ScopedLogCapture {
-  std::ostringstream os;
-  std::ostream* prev;
-  std::string& out;
-
-  explicit ScopedLogCapture(std::string& o)
-      : prev(set_thread_log_sink(&os)), out(o) {}
-  ~ScopedLogCapture() {
-    set_thread_log_sink(prev);
-    out = os.str();
-  }
-};
-
-/// Wall-clock progress reporter: wakes every `interval`, reads the sweep
-/// counters, and prints one line with throughput and a remaining-time
-/// estimate. Runs on its own thread with the *real* log sink (never a
-/// task's capture buffer), and exits promptly when notified.
+/// Wall-clock progress reporter: wakes every `interval`, reads the run's
+/// done count, and prints one line to stderr with throughput and a
+/// remaining-time estimate. Runs on its own thread and exits promptly when
+/// destroyed.
 class ProgressReporter {
  public:
-  ProgressReporter(Duration interval, std::ostream& out, std::size_t total,
-                   const Counter& done, std::uint64_t base)
-      : interval_(interval), out_(out), total_(total), done_(done),
-        base_(base), start_(std::chrono::steady_clock::now()),
+  ProgressReporter(Duration interval, std::size_t total,
+                   const std::atomic<std::size_t>& done)
+      : interval_(interval), total_(total), done_(done),
+        start_(std::chrono::steady_clock::now()),
         thread_([this] { loop(); }) {}
 
   ~ProgressReporter() {
@@ -91,7 +48,7 @@ class ProgressReporter {
   }
 
   void report() {
-    const std::uint64_t done = done_.value() - base_;
+    const std::size_t done = done_.load(std::memory_order_relaxed);
     const double elapsed_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start_)
@@ -100,23 +57,20 @@ class ProgressReporter {
     char line[160];
     if (done == 0 || rate <= 0.0) {
       std::snprintf(line, sizeof(line),
-                    "[sweep] %llu/%zu cells, warming up (%.0fs elapsed)\n",
-                    static_cast<unsigned long long>(done), total_, elapsed_s);
+                    "[sweep] %zu/%zu cells, warming up (%.0fs elapsed)\n",
+                    done, total_, elapsed_s);
     } else {
       const double eta_s = (total_ > done ? total_ - done : 0) / rate;
       std::snprintf(line, sizeof(line),
-                    "[sweep] %llu/%zu cells, %.1f cells/s, ETA %.0fs\n",
-                    static_cast<unsigned long long>(done), total_, rate,
-                    eta_s);
+                    "[sweep] %zu/%zu cells, %.1f cells/s, ETA %.0fs\n", done,
+                    total_, rate, eta_s);
     }
-    out_ << line << std::flush;
+    std::cerr << line << std::flush;
   }
 
   Duration interval_;
-  std::ostream& out_;
   std::size_t total_;
-  const Counter& done_;
-  std::uint64_t base_;
+  const std::atomic<std::size_t>& done_;
   std::chrono::steady_clock::time_point start_;
   std::mutex mu_;
   std::condition_variable cv_;
@@ -130,8 +84,6 @@ SweepRunner::SweepRunner(SweepOptions opt) : opt_(opt) {
   threads_ = opt_.threads != 0 ? opt_.threads
                                : std::thread::hardware_concurrency();
   if (threads_ == 0) threads_ = 1;
-  cells_done_ = metrics_.counter("sweep.cells_done");
-  cells_total_ = metrics_.gauge("sweep.cells_total");
 }
 
 void SweepRunner::run_jobs(std::vector<std::function<void()>>&& jobs) {
@@ -140,89 +92,38 @@ void SweepRunner::run_jobs(std::vector<std::function<void()>>&& jobs) {
   const unsigned workers =
       static_cast<unsigned>(std::min<std::size_t>(threads_, n));
 
-  cells_total_->set(static_cast<std::int64_t>(n));
-  std::unique_ptr<ProgressReporter> progress;
-  if (opt_.progress_interval > Duration::zero()) {
-    progress = std::make_unique<ProgressReporter>(
-        opt_.progress_interval,
-        opt_.progress_out ? *opt_.progress_out : std::cerr, n, *cells_done_,
-        cells_done_->value());
-  }
-
-  // Per-task captured log text, flushed in submission order afterwards.
-  std::vector<std::string> captured(opt_.capture_logs ? n : 0);
-
-  auto run_one = [&](std::size_t idx) {
-    if (opt_.capture_logs) {
-      ScopedLogCapture capture(captured[idx]);
-      jobs[idx]();
-    } else {
-      jobs[idx]();
-    }
-  };
-
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> done{0};
   std::exception_ptr first_error;
   std::mutex error_mu;
-  auto guarded = [&](std::size_t idx) {
-    try {
-      run_one(idx);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (!first_error) first_error = std::current_exception();
+  auto claim_loop = [&] {
+    // Cooperative cancellation: re-checked before every claim, so the job
+    // in flight finishes but no further one starts.
+    while (!stop_requested()) {
+      const std::size_t idx = next.fetch_add(1, std::memory_order_relaxed);
+      if (idx >= n) return;
+      try {
+        jobs[idx]();
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mu);
+        if (!first_error) first_error = std::current_exception();
+      }
+      done.fetch_add(1, std::memory_order_relaxed);
     }
-    cells_done_->inc();
   };
 
-  if (workers == 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (stop_requested()) break;
-      guarded(i);
+  {
+    std::unique_ptr<ProgressReporter> progress;
+    if (opt_.progress_interval > Duration::zero()) {
+      progress = std::make_unique<ProgressReporter>(opt_.progress_interval,
+                                                    n, done);
     }
-  } else {
-    // Round-robin initial distribution; idle workers steal from the back of
-    // their siblings' deques.
-    std::vector<WorkDeque> deques(workers);
-    for (std::size_t i = 0; i < n; ++i) {
-      deques[i % workers].jobs.push_back(i);
-    }
-
-    auto worker_loop = [&](unsigned me) {
-      std::size_t idx;
-      for (;;) {
-        // Cooperative cancellation: stop claiming; the job in flight (if
-        // any) already finished by the time we re-check here.
-        if (stop_requested()) return;
-        if (deques[me].pop_front(idx)) {
-          guarded(idx);
-          continue;
-        }
-        bool stole = false;
-        for (unsigned k = 1; k < workers; ++k) {
-          if (deques[(me + k) % workers].steal_back(idx)) {
-            guarded(idx);
-            stole = true;
-            break;
-          }
-        }
-        // All jobs are distributed up-front and never re-enqueued, so once
-        // every deque is empty no work can appear: exit instead of spinning
-        // while siblings finish their last jobs (join waits for those).
-        if (!stole) return;
-      }
-    };
-
     std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
+    pool.reserve(workers - 1);
+    for (unsigned w = 1; w < workers; ++w) pool.emplace_back(claim_loop);
+    claim_loop();
     for (auto& t : pool) t.join();
-  }
-
-  progress.reset();  // final stop before logs flush, so lines don't mix
-  if (opt_.capture_logs) {
-    for (const auto& text : captured) log_write_raw(text);
-  }
+  }  // the reporter stops before the caller sees results or an error
   if (first_error) std::rethrow_exception(first_error);
 }
 

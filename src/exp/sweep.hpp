@@ -5,12 +5,10 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "util/time.hpp"
 
 /// Parallel experiment sweep engine.
@@ -18,54 +16,43 @@
 /// The paper's trace-scale evaluation (Figs 4/5, the ablations) is a grid of
 /// *independent, deterministic* simulations — each task builds its own
 /// SimRuntime + ContainerPool (a trace replay) or Worker from an explicit
-/// seed and shares nothing mutable with its siblings. SweepRunner fans such grids across
-/// hardware threads with a work-stealing scheduler while preserving the
-/// sequential path's observable behaviour exactly:
+/// seed and shares nothing mutable with its siblings. SweepRunner fans such
+/// grids across hardware threads with one claim loop — every thread, the
+/// caller included, takes the next submission index from a shared counter —
+/// while preserving the sequential path's observable behaviour exactly:
 ///
 ///  * **Determinism contract** — results land in a vector indexed by
 ///    submission order, so for the same task list and seeds the returned
 ///    rows are byte-identical at 1, 4, or N threads (and identical to a
 ///    plain sequential loop). Tasks must not read shared mutable state;
 ///    immutable inputs (a const Trace&) may be shared freely.
-///  * **Log isolation** — each task's log output is captured through the
-///    thread-local sink override (set_thread_log_sink) into a per-task
-///    buffer and flushed to the real sink in submission order after the
-///    sweep, so parallel sims never interleave lines.
-///  * **Metrics isolation** — tasks build their own MetricsRegistry /
-///    Worker instances; the engine never introduces cross-task instruments.
+///  * **Shared state** — the claim counter and the progress count are the
+///    engine's only shared state; tasks build their own runtimes, registries
+///    and Workers.
 namespace ilu::exp {
 
 struct SweepOptions {
-  /// Worker thread count; 0 means std::thread::hardware_concurrency().
+  /// Thread count, the caller included; 0 means
+  /// std::thread::hardware_concurrency().
   unsigned threads = 0;
-  /// Capture per-task log output and flush it in submission order.
-  bool capture_logs = true;
-  /// Emit a progress line (cells done, cells/s, ETA) this often while a
-  /// grid runs; zero disables. Progress bypasses log capture, so long
-  /// sweeps stay observable even though task output is buffered.
+  /// Print a progress line (cells done, cells/s, ETA) to stderr this often
+  /// while a grid runs; zero disables.
   Duration progress_interval{};
-  /// Progress destination; nullptr means std::cerr.
-  std::ostream* progress_out = nullptr;
 };
 
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions opt = {});
 
-  /// The resolved worker count (>= 1).
+  /// The resolved thread count (>= 1).
   unsigned threads() const { return threads_; }
 
-  /// Live sweep instrumentation: "sweep.cells_total" (gauge) and
-  /// "sweep.cells_done" (counter) for the current/last run_jobs call. The
-  /// progress reporter reads these; external dashboards can too.
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Run all jobs (blocking). Jobs are claimed from per-worker deques with
-  /// stealing, so imbalanced grids (one slow cell) keep every core busy.
-  /// The first exception thrown by a job is rethrown here after all workers
-  /// join. If `request_stop` fires mid-run, in-flight jobs finish but no
-  /// further jobs start.
+  /// Run all jobs (blocking). Each thread claims the next unclaimed index
+  /// until none is left, so an imbalanced grid (one slow cell) keeps every
+  /// core busy; with one thread the loop runs on the caller. The first
+  /// exception thrown by a job is rethrown here after all threads join. If
+  /// `request_stop` fires mid-run, in-flight jobs finish but no further
+  /// jobs start.
   void run_jobs(std::vector<std::function<void()>>&& jobs);
 
   /// Cooperative cancellation: no further jobs are claimed after this is
@@ -118,9 +105,6 @@ class SweepRunner {
  private:
   SweepOptions opt_;
   unsigned threads_ = 1;
-  MetricsRegistry metrics_;
-  Counter* cells_done_ = nullptr;
-  Gauge* cells_total_ = nullptr;
   std::atomic<bool> stop_requested_{false};
 };
 

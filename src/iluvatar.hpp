@@ -26,9 +26,9 @@
 ///   baseline/  the OpenWhisk behavioural model (and FaasCache, via its
 ///              keep-alive policy knob)
 ///   lb/        CH-BL consistent hashing with bounded loads + cluster
-///   exp/       parallel experiment sweep engine: work-stealing fan-out of
-///              independent deterministic simulations with submission-order
-///              result collection and per-task log isolation
+///   exp/       parallel experiment sweep engine (one claim loop over
+///              independent deterministic simulations, results in
+///              submission order) and the live open-loop load harness
 
 #include "baseline/openwhisk.hpp"
 #include "common/types.hpp"
@@ -39,7 +39,6 @@
 #include "containers/cpu_model.hpp"
 #include "core/energy.hpp"
 #include "core/worker.hpp"
-#include "exp/keepalive_sweep.hpp"
 #include "exp/live_load.hpp"
 #include "exp/sweep.hpp"
 #include "keepalive/policy.hpp"
@@ -69,7 +68,6 @@
 #include "trace/workload.hpp"
 #include "util/csv.hpp"
 #include "util/hash.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"

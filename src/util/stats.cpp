@@ -52,15 +52,6 @@ double MovingWindow::mean() const {
   return sum_ / static_cast<double>(ring_.size());
 }
 
-ExpDecayAverage::ExpDecayAverage(double tau_seconds) : tau_(tau_seconds) {
-  assert(tau_ > 0.0);
-}
-
-void ExpDecayAverage::sample(double x, double interval_seconds) {
-  double a = std::exp(-interval_seconds / tau_);
-  value_ = value_ * a + x * (1.0 - a);
-}
-
 SlidingRateMeter::SlidingRateMeter(Duration window) : window_(window) {
   assert(window_.count() > 0);
 }

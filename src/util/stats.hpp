@@ -13,7 +13,6 @@
 ///   predictability test uses exactly this, citing Welford's algorithm).
 /// - MovingWindow: bounded history with mean, used for the per-function
 ///   warm/cold execution-time estimates that drive SJF/EEDF queueing.
-/// - ExpDecayAverage: Unix-style exponentially decayed load average.
 /// - Summary / percentile helpers for reporting (Fig 1's p50/p99).
 /// - SlidingRateMeter: events-per-second over a window (Fig 8 miss speed).
 namespace ilu {
@@ -57,21 +56,6 @@ class MovingWindow {
   std::vector<double> ring_;
   std::size_t head_ = 0;
   double sum_ = 0.0;
-};
-
-/// Exponentially decayed average a la the kernel load average:
-/// on each sample spaced `interval` apart, load = load*a + x*(1-a) with
-/// a = exp(-interval/tau).
-class ExpDecayAverage {
- public:
-  explicit ExpDecayAverage(double tau_seconds = 60.0);
-  void sample(double x, double interval_seconds);
-  double value() const { return value_; }
-  void reset(double v = 0.0) { value_ = v; }
-
- private:
-  double tau_;
-  double value_ = 0.0;
 };
 
 /// Count of events inside a sliding time window; used for cold-starts/sec.

@@ -1,32 +1,34 @@
 // Tests for the parallel experiment sweep engine (exp/sweep.hpp): the
 // determinism contract (byte-identical results at any thread count),
-// work distribution, per-task log isolation with submission-order flush,
-// and the --threads flag parsing.
+// work distribution, cancellation, the progress line, and the --threads
+// flag parsing.
 //
 // This test is also the TSan target for the engine: build with
-// -DILU_SANITIZE=thread and run test_exp_sweep to race-check the
-// work-stealing deques and the thread-local log capture.
+// -DILU_SANITIZE=thread and run test_exp_sweep to race-check the claim
+// counter and the progress count.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iostream>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "exp/keepalive_sweep.hpp"
 #include "exp/sweep.hpp"
 #include "keepalive/simulator.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "trace/function_profile.hpp"
 #include "trace/loadgen.hpp"
 #include "trace/workload.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace ilu {
@@ -106,10 +108,14 @@ TEST(SweepRunner, KeepAliveSweepDeterministicAcrossThreads) {
        .exponential = true},
   };
   auto trace = make_synthetic_trace(specs, mins(5), 11);
-  const std::vector<std::uint64_t> sizes = {512, 1024, 2048, 4096};
+  std::vector<std::function<KeepAliveSimResult()>> tasks;
+  for (std::uint64_t mb : {512, 1024, 2048, 4096}) {
+    tasks.emplace_back(
+        [&trace, mb] { return run_keepalive_sim(trace, "GD", mb); });
+  }
 
-  auto seq = sweep_cache_sizes(trace, "GD", sizes, 1);
-  auto par = sweep_cache_sizes(trace, "GD", sizes, 4);
+  auto seq = exp::SweepRunner({.threads = 1}).run(tasks);
+  auto par = exp::SweepRunner({.threads = 4}).run(tasks);
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(seq[i].capacity_mb, par[i].capacity_mb);
@@ -137,33 +143,6 @@ TEST(SweepRunner, AllTasksRunExactlyOnce) {
   }
 }
 
-TEST(SweepRunner, LogsFlushInSubmissionOrderWithoutInterleaving) {
-  LogLevel prev_level = log_level();
-  set_log_level(LogLevel::Info);
-  std::ostringstream captured;
-  set_log_sink(&captured);
-
-  std::vector<std::function<int()>> tasks;
-  for (int i = 0; i < 12; ++i) {
-    tasks.emplace_back([i] {
-      log_info("task ", i, " line a");
-      log_info("task ", i, " line b");
-      return i;
-    });
-  }
-  exp::SweepRunner({.threads = 4}).run(tasks);
-
-  set_log_sink(nullptr);
-  set_log_level(prev_level);
-
-  std::string expected;
-  for (int i = 0; i < 12; ++i) {
-    expected += "[INFO] task " + std::to_string(i) + " line a\n";
-    expected += "[INFO] task " + std::to_string(i) + " line b\n";
-  }
-  EXPECT_EQ(captured.str(), expected);
-}
-
 TEST(SweepRunner, PropagatesFirstTaskException) {
   std::vector<std::function<int()>> tasks;
   for (int i = 0; i < 8; ++i) {
@@ -172,42 +151,18 @@ TEST(SweepRunner, PropagatesFirstTaskException) {
       return i;
     });
   }
-  exp::SweepRunner runner({.threads = 4});
-  EXPECT_THROW({ runner.run(tasks); }, std::runtime_error);
-}
-
-TEST(SweepRunner, RestoresLogSinkWhenTaskThrows) {
-  LogLevel prev_level = log_level();
-  set_log_level(LogLevel::Info);
-  std::ostringstream captured;
-  set_log_sink(&captured);
-
-  std::vector<std::function<int()>> tasks;
-  tasks.emplace_back([]() -> int {
-    log_info("before throw");
-    throw std::runtime_error("cell failed");
-  });
-  // threads=1 runs the job on the calling thread: a leaked per-task sink
-  // would leave *this* thread logging into a destroyed buffer.
-  exp::SweepRunner runner({.threads = 1});
-  EXPECT_THROW({ runner.run(tasks); }, std::runtime_error);
-
-  // Sink must be restored despite the unwind, and the throwing task's
-  // captured lines still flushed.
-  log_info("after sweep");
-
-  set_log_sink(nullptr);
-  set_log_level(prev_level);
-
-  std::string text = captured.str();
-  EXPECT_NE(text.find("before throw"), std::string::npos);
-  EXPECT_NE(text.find("after sweep"), std::string::npos);
+  // threads=1 runs every job on the calling thread, the others spread them.
+  for (unsigned threads : {1u, 4u}) {
+    exp::SweepRunner runner({.threads = threads});
+    EXPECT_THROW({ runner.run(tasks); }, std::runtime_error)
+        << "threads=" << threads;
+  }
 }
 
 TEST(SweepRunner, StopRequestSkipsRemainingCells) {
   // Sequential runner: job 3 requests a stop, so jobs 4.. never run and
   // run_partial returns them as empty slots.
-  exp::SweepRunner runner({.threads = 1, .capture_logs = false});
+  exp::SweepRunner runner({.threads = 1});
   std::vector<std::function<int()>> tasks;
   for (int i = 0; i < 10; ++i) {
     tasks.emplace_back([i, &runner] {
@@ -231,7 +186,7 @@ TEST(SweepRunner, StopRequestStopsParallelWorkersPromptly) {
   // In-flight jobs complete, and no job starts after the stop flag is
   // visible; with the flag raised by the first job, far fewer than all
   // cells should run (each worker claims at most a few before re-checking).
-  exp::SweepRunner runner({.threads = 4, .capture_logs = false});
+  exp::SweepRunner runner({.threads = 4});
   std::atomic<int> ran{0};
   std::vector<std::function<int()>> tasks;
   for (int i = 0; i < 1000; ++i) {
@@ -254,7 +209,7 @@ TEST(SweepRunner, StopRequestStopsParallelWorkersPromptly) {
 }
 
 TEST(SweepRunner, RunThrowsWhenCancelled) {
-  exp::SweepRunner runner({.threads = 1, .capture_logs = false});
+  exp::SweepRunner runner({.threads = 1});
   std::vector<std::function<int()>> tasks;
   for (int i = 0; i < 4; ++i) {
     tasks.emplace_back([i, &runner] {
@@ -266,13 +221,30 @@ TEST(SweepRunner, RunThrowsWhenCancelled) {
 }
 
 TEST(SweepRunner, StopIsStickyAcrossRuns) {
-  exp::SweepRunner runner({.threads = 1, .capture_logs = false});
+  exp::SweepRunner runner({.threads = 1});
   runner.request_stop();
   std::vector<std::function<int()>> tasks;
   tasks.emplace_back([] { return 1; });
   auto slots = runner.run_partial(tasks);
   EXPECT_FALSE(slots[0].has_value())
       << "a stopped runner must stay stopped (SIGINT between runs)";
+}
+
+TEST(SweepRunner, ReportsProgressWhileAGridRuns) {
+  std::vector<std::function<int()>> tasks;
+  tasks.emplace_back([] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return 1;
+  });
+  // The reporter writes to std::cerr and is joined before run_jobs returns,
+  // so swapping the buffer around the run captures every line it printed.
+  std::ostringstream captured;
+  std::streambuf* prev = std::cerr.rdbuf(captured.rdbuf());
+  exp::SweepRunner({.threads = 1, .progress_interval = msecs(1)}).run(tasks);
+  std::cerr.rdbuf(prev);
+  EXPECT_TRUE(std::regex_search(captured.str(),
+                                std::regex(R"(\[sweep\] [01]/1 cells)")))
+      << captured.str();
 }
 
 TEST(SweepRunner, ResolvesThreadCounts) {

@@ -196,7 +196,7 @@ TEST(IluLint, RawThreadSuppressed) {
 TEST(IluLint, RawThreadAllowlistedPaths) {
   for (const char* path :
        {"runtime/sharded_runtime.cpp", "exp/sweep.cpp", "obs/flight.cpp",
-        "util/log.cpp", "util/dcheck.hpp"}) {
+        "util/dcheck.hpp"}) {
     auto fs = lint_fixture_at("raw_thread.cpp", path);
     EXPECT_EQ(count_check(fs, "raw-thread"), 0) << "at " << path;
   }

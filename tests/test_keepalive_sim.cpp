@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "exp/keepalive_sweep.hpp"
+#include <functional>
+#include <vector>
+
+#include "exp/sweep.hpp"
 #include "trace/azure.hpp"
 #include "trace/function_profile.hpp"
 #include "trace/loadgen.hpp"
@@ -61,7 +64,12 @@ TEST(KeepAliveSim, AllPoliciesRunOnSameTrace) {
 
 TEST(KeepAliveSim, SweepIsMonotoneInCapacityForGd) {
   auto trace = small_azure_trace();
-  auto rs = sweep_cache_sizes(trace, "GD", {1024, 4096, 16384, 65536});
+  std::vector<std::function<KeepAliveSimResult()>> tasks;
+  for (std::uint64_t mb : {1024, 4096, 16384, 65536}) {
+    tasks.emplace_back(
+        [&trace, mb] { return run_keepalive_sim(trace, "GD", mb); });
+  }
+  auto rs = exp::SweepRunner({.threads = 1}).run(tasks);
   ASSERT_EQ(rs.size(), 4u);
   // Not strictly monotone in theory (Belady anomalies), but over a 64x
   // range the trend must be clearly downward.

@@ -6,7 +6,6 @@
 
 #include <fstream>
 #include <numeric>
-#include <sstream>
 
 #include "iluvatar.hpp"
 
@@ -79,21 +78,6 @@ TEST(Metrics, CsvExportWrites) {
   EXPECT_NE(all.find("counter"), std::string::npos);
   EXPECT_NE(all.find("gauge"), std::string::npos);
   EXPECT_NE(all.find("log_histogram"), std::string::npos);
-}
-
-// ------------------------------------------------------------------- log --
-
-TEST(Log, PluggableSinkCapturesAndRestores) {
-  std::ostringstream oss;
-  set_log_sink(&oss);
-  LogLevel before = log_level();
-  set_log_level(LogLevel::Info);
-  log_info("hello ", 42);
-  log_debug("invisible at info level");
-  set_log_level(before);
-  set_log_sink(nullptr);
-  EXPECT_NE(oss.str().find("[INFO] hello 42"), std::string::npos);
-  EXPECT_EQ(oss.str().find("invisible"), std::string::npos);
 }
 
 // --------------------------------------------------- worker integration --

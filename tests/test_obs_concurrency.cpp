@@ -1,11 +1,10 @@
 // Concurrency hammer for the observability layer: 8 threads concurrently
-// pounding the logger and the metrics registry. Under -DILU_SANITIZE=thread
-// this doubles as the TSan gate for obs/ (with test_flight_recorder for the
-// rings); without a sanitizer it still validates that no update is lost.
+// pounding the metrics registry. Under -DILU_SANITIZE=thread this doubles as
+// the TSan gate for obs/ (with test_flight_recorder for the rings); without
+// a sanitizer it still validates that no update is lost.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -18,11 +17,6 @@ constexpr int kThreads = 8;
 constexpr int kIters = 20000;
 
 TEST(ObsConcurrency, LoggerAndMetricsUnderContention) {
-  std::ostringstream captured;
-  set_log_sink(&captured);
-  LogLevel level_before = log_level();
-  set_log_level(LogLevel::Warn);
-
   MetricsRegistry reg;
   // Wire-time registration, hot-path updates through cached pointers — the
   // same discipline the worker uses.
@@ -43,7 +37,6 @@ TEST(ObsConcurrency, LoggerAndMetricsUnderContention) {
         // same instruments (registry mutex path).
         if (i % 1000 == 0) {
           EXPECT_EQ(reg.counter("hammer.ops"), ops);
-          log_warn("thread ", w, " at ", i);
         }
         // Concurrent snapshot while other threads keep writing.
         if (w == 0 && i % 5000 == 0) (void)reg.snapshot();
@@ -52,24 +45,11 @@ TEST(ObsConcurrency, LoggerAndMetricsUnderContention) {
   }
   for (auto& th : threads) th.join();
 
-  set_log_level(level_before);
-  set_log_sink(nullptr);
-
   constexpr std::uint64_t kTotal =
       std::uint64_t(kThreads) * std::uint64_t(kIters);
   EXPECT_EQ(ops->value(), kTotal);
   EXPECT_EQ(level->value(), 0);
   EXPECT_EQ(lat->count(), kTotal);
-
-  // Every captured log line arrived unsheared: "[WARN] thread <w> at <i>".
-  std::istringstream lines(captured.str());
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_EQ(line.rfind("[WARN] thread ", 0), 0u) << line;
-    ++n;
-  }
-  EXPECT_EQ(n, std::size_t(kThreads) * (kIters / 1000));
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <deque>
 #include <vector>
@@ -117,19 +116,6 @@ TEST(MovingWindow, EmptyIsZero) {
   MovingWindow mw(2);
   EXPECT_TRUE(mw.empty());
   EXPECT_DOUBLE_EQ(mw.mean(), 0.0);
-}
-
-TEST(ExpDecayAverage, ConvergesToConstantInput) {
-  ExpDecayAverage avg(60.0);
-  for (int i = 0; i < 1000; ++i) avg.sample(4.0, 5.0);
-  EXPECT_NEAR(avg.value(), 4.0, 1e-6);
-}
-
-TEST(ExpDecayAverage, DecaysTowardZero) {
-  ExpDecayAverage avg(60.0);
-  avg.reset(8.0);
-  avg.sample(0.0, 60.0);
-  EXPECT_NEAR(avg.value(), 8.0 * std::exp(-1.0), 1e-9);
 }
 
 TEST(SlidingRateMeter, CountsWithinWindowOnly) {

@@ -274,7 +274,7 @@ void check_ptr_order(const Tokens& ts, const std::string& rel,
 // ---------------------------------------------------------------------------
 
 constexpr std::string_view kRawThreadAllow[] = {
-    "runtime/", "exp/", "obs/", "util/log.", "util/dcheck."};
+    "runtime/", "exp/", "obs/", "util/dcheck."};
 
 bool is_threading_name(std::string_view id) {
   return id == "thread" || id == "jthread" || id == "mutex" ||
@@ -693,7 +693,7 @@ const std::vector<CheckInfo>& checks() {
        "values anywhere in src/"},
       {"raw-thread",
        "no std::thread/mutex/atomic/condition_variable outside runtime/, "
-       "exp/, obs/, util/log.*, util/dcheck.*"},
+       "exp/, obs/, util/dcheck.*"},
       {"std-function-hotpath",
        "no std::function in runtime/, queueing/, core/ headers — use "
        "ilu::Task"},

@@ -261,8 +261,8 @@ void check_atomics(const RepoModel& m, std::vector<Finding>& out) {
 // ---------------------------------------------------------------------------
 
 /// Cold/diagnostic layers where the lock exists to serialize exactly this
-/// work (util/log's mutex guards the stream; obs aggregation and exp
-/// harness setup are off the simulated hot path).
+/// work (obs aggregation and exp harness setup are off the simulated hot
+/// path).
 constexpr std::string_view kBlockingExempt[] = {"obs/", "exp/", "util/"};
 
 void check_blocking(const RepoModel& m, std::vector<Finding>& out) {

@@ -30,7 +30,7 @@
 ///                         keyed on a raw pointer type, anywhere in src/.
 ///   raw-thread            std::thread/jthread/mutex/condition_variable/
 ///                         atomic/future/promise/async outside runtime/,
-///                         exp/, obs/, util/log.*, util/dcheck.*.
+///                         exp/, obs/, util/dcheck.*.
 ///   std-function-hotpath  std::function in runtime/, queueing/, or core/
 ///                         headers — use ilu::Task (runtime/task.hpp).
 ///   const-ref-capture     lambdas with by-reference captures that escape
