@@ -36,13 +36,11 @@ Point measure_iluvatar(std::size_t clients, bool export_obs = false) {
       run_closed_loop(rt, worker_invoker(w), clients, /*iters=*/40);
   w.shutdown();
   if (export_obs) {
-    // Structured outputs for the deepest point on the curve: per-function
-    // report + the worker's live-metric snapshot.
+    // Structured output for the deepest point on the curve: the
+    // per-function report.
     ExperimentReport report({"pyaes"});
     report.add_all(results);
     report.write_json(results_dir() + "/fig1_report.json");
-    write_metrics_json(w.metrics().snapshot(),
-                       results_dir() + "/fig1_worker_metrics.json");
   }
   auto s = warm_overheads(results);
   return {clients, s.p50(), s.p99(), s.mean()};

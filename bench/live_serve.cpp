@@ -20,7 +20,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <cmath>
 #include <thread>
@@ -53,6 +52,45 @@ struct StageResult {
 };
 
 constexpr std::size_t kFunctions = 64;
+
+/// --status: every 500 ms, print the worker's counts, the runtime's event
+/// rate and the load's rates to stderr. The timer runs on the loop thread,
+/// which owns the worker, and only that thread touches it.
+struct StatusTimer {
+  RealRuntime& rt;
+  const Worker& w;
+  const LiveLoadStats& load;
+  Runtime::TimerId timer = Runtime::kInvalidTimer;
+  TimePoint last{};
+  std::uint64_t executed = 0, submitted = 0, finished = 0;
+
+  /// With print == false (the first call) it only takes the baseline.
+  void tick(bool print = true) {
+    using ull = unsigned long long;
+    const double dt = to_sec(rt.now() - last);
+    const std::uint64_t e = rt.executed();
+    const std::uint64_t sub = load.submitted.load(std::memory_order_relaxed);
+    const std::uint64_t fin = load.finished();
+    const Worker::Status st = w.status();
+    if (print) {
+      std::fprintf(stderr,
+                   "[t=%.1fs] completed %llu cold %llu queue %zu inflight %zu"
+                   " | executed %.0f/s pending %llu"
+                   " | submitted %.0f/s finished %.0f/s\n",
+                   to_sec(rt.now()), static_cast<ull>(w.completed()),
+                   static_cast<ull>(w.cold_starts()), st.queue_len, st.running,
+                   static_cast<double>(e - executed) / dt,
+                   static_cast<ull>(rt.pending()),
+                   static_cast<double>(sub - submitted) / dt,
+                   static_cast<double>(fin - finished) / dt);
+    }
+    last = rt.now();
+    executed = e;
+    submitted = sub;
+    finished = fin;
+    timer = rt.schedule(msecs(500), [this] { tick(); });
+  }
+};
 
 /// A worker provisioned so the *control plane* is the bottleneck under
 /// load, not the modeled machine: the paper's overhead claims are about the
@@ -151,19 +189,11 @@ StageResult run_stage(double per_min, Duration duration,
   Trace trace = make_synthetic_trace(specs, duration, /*seed=*/17);
   EventView view(trace);
 
-  TelemetrySampler sampler(rt, msecs(500));
-  sampler.add_registry("w:", &w.metrics());
-  sampler.add_counter_probe("rt:executed", [&rt] { return rt.executed(); });
-  sampler.add_probe("rt:pending",
-                    [&rt] { return static_cast<double>(rt.pending()); });
   LiveLoadStats stats;
-  sampler.add_counter_probe("load:submitted", [&stats] {
-    return stats.submitted.load(std::memory_order_relaxed);
-  });
-  sampler.add_counter_probe("load:finished",
-                            [&stats] { return stats.finished(); });
-  if (status) sampler.set_status_stream(&std::cerr);
-  sampler.start();
+  StatusTimer status_timer{rt, w, stats};
+  if (status) {
+    rt.post([&status_timer] { status_timer.tick(/*print=*/false); });
+  }
 
   LiveLoadHarness harness(
       rt, [&w](FunctionId f, LiveLoadHarness::CompletionCb cb) {
@@ -173,12 +203,11 @@ StageResult run_stage(double per_min, Duration duration,
   lcfg.producers = producers;
   harness.run(view, lcfg, &stats);
 
-  sampler.stop();
-  sampler.sample_now();
-
-  // Worker teardown belongs to the loop thread (it is loop-confined).
+  // Worker teardown belongs to the loop thread (it is loop-confined), as
+  // does the status timer.
   std::atomic<bool> down{false};
-  rt.post([&w, &down] {
+  rt.post([&rt, &w, &down, &status_timer] {
+    rt.cancel(status_timer.timer);  // a no-op without --status
     w.shutdown();
     down.store(true, std::memory_order_release);
   });

@@ -6,9 +6,8 @@
 // per-stage mean over those records. Besides the table itself (stdout +
 // results/tab1_components.csv), this writes the flight dump
 // (results/tab1_flight.bin — the table can be regenerated from it with
-// `trace_tool tab1`, see EXPERIMENTS.md) and the worker's metric snapshot
-// (results/tab1_metrics.json). Exits 1 if a flight ring wrapped, since the
-// means would then miss the oldest invocations.
+// `trace_tool tab1`, see EXPERIMENTS.md). Exits 1 if a flight ring wrapped,
+// since the means would then miss the oldest invocations.
 
 #include "bench_util.hpp"
 
@@ -53,16 +52,13 @@ int main() {
                  "would miss the oldest invocations\n");
     return 1;
   }
-  // Raw flight dump + metrics snapshot (the dump holds the records the
-  // table is folded from).
+  // Raw flight dump: the records the table is folded from.
   const std::string dump_path = results_dir() + "/tab1_flight.bin";
   if (!recorder.dump_to_file(dump_path)) {
     std::fprintf(stderr, "tab1_components: cannot write %s\n",
                  dump_path.c_str());
     return 1;
   }
-  write_metrics_json(w.metrics().snapshot(),
-                     results_dir() + "/tab1_metrics.json");
 
   using flight::Ev;
   struct Row {

@@ -50,8 +50,8 @@ struct Container {
   /// Whether the cached per-container HTTP client exists yet; the first
   /// agent call on a fresh container pays connection setup (§4.3.1).
   bool http_client_cached = false;
-  /// Parked by a prewarm and not yet used by an invocation (drives the
-  /// pool's prewarmed-containers gauge).
+  /// Parked by a prewarm and not yet used by an invocation: an expiry of
+  /// such a container asks for no new prewarm.
   bool prewarm_parked = false;
 
   /// Intrusive links for the pool's per-function idle list (a LIFO stack:

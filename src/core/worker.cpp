@@ -74,26 +74,7 @@ Worker::Worker(Runtime& rt, WorkerConfig cfg,
       q_policy_(make_queue_policy(cfg_.queue_policy)),
       queue_(*q_policy_, chars_),
       regulator_(cfg_.regulator) {
-  ins_.invocations = metrics_.counter("worker.invocations");
-  ins_.completed = metrics_.counter("worker.completed");
-  ins_.warm = metrics_.counter("worker.warm_starts");
-  ins_.cold = metrics_.counter("worker.cold_starts");
-  ins_.failures = metrics_.counter("worker.failures");
-  ins_.bypassed = metrics_.counter("worker.bypassed");
-  ins_.prewarms = metrics_.counter("worker.prewarms");
-  ins_.inflight = metrics_.gauge("worker.inflight");
-  ins_.queue_wait_ms = metrics_.log_histogram("queue.wait_ms");
-  ins_.overhead_ms = metrics_.log_histogram("worker.overhead_ms");
-  queue_.set_depth_gauge(metrics_.gauge("queue.depth"));
   queue_.set_flight_clock(&rt_);
-  pool_.set_metrics({.evictions = metrics_.counter("pool.evictions"),
-                     .expirations = metrics_.counter("pool.expirations"),
-                     .prewarm_parks = metrics_.counter("pool.prewarm_parks"),
-                     .total = metrics_.gauge("pool.containers"),
-                     .idle = metrics_.gauge("pool.idle"),
-                     .busy = metrics_.gauge("pool.busy"),
-                     .prewarmed = metrics_.gauge("pool.prewarmed"),
-                     .used_mb = metrics_.gauge("pool.used_mb")});
   if (cfg_.predictive_prewarm) {
     pool_.set_prewarm_requester([this](FunctionId fn, TimePoint at) {
       if (!started_ || pending_prewarms_.count(fn) > 0) return;
@@ -182,7 +163,6 @@ void Worker::invoke(FunctionId fn, InvokeCb cb) {
   rec.submitted = rt_.now();
   rec.cb = std::move(cb);
   flight::record(rec.submitted, flight::Ev::kInvokeArrival, fn);
-  ins_.invocations->inc();
   chars_.on_arrival(fn, rec.submitted);
   // Keep-alive policies observe every arrival (HIST builds its IAT
   // histograms from this, independent of cache contents).
@@ -226,9 +206,8 @@ void Worker::enqueue(PendingHandle p) {
     if (expected > Duration::zero() && expected <= cfg_.bypass_threshold &&
         norm_load < cfg_.bypass_load_limit) {
       rec.bypassed = true;
-      ins_.bypassed->inc();
+      ++bypassed_;
       ++running_;
-      ins_.inflight->set(static_cast<std::int64_t>(running_));
       dispatch(p);
       return;
     }
@@ -239,7 +218,6 @@ void Worker::enqueue(PendingHandle p) {
   item.arrival = rec.submitted;
   item.dispatch = [this, p] {
     ++running_;
-    ins_.inflight->set(static_cast<std::int64_t>(running_));
     dispatch(p);
   };
   queue_.push(std::move(item), pool_.has_idle(fn));
@@ -281,7 +259,6 @@ void Worker::cold_start(PendingHandle p) {
     // Memory exhausted by busy containers: park until something frees.
     flight::record(rt_.now(), flight::Ev::kMemoryPark, fn);
     --running_;
-    ins_.inflight->set(static_cast<std::int64_t>(running_));
     waiting_memory_.push_back(p);
     return;
   }
@@ -308,8 +285,10 @@ void Worker::cold_start(PendingHandle p) {
             cold_start(p);
           } else {
             --running_;
-            ins_.inflight->set(static_cast<std::int64_t>(running_));
             fail(p);
+            // The failed create freed its reservation: parked invocations
+            // may fit now.
+            on_memory_released();
             pump();
           }
           return;
@@ -359,7 +338,6 @@ void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
   rt_.schedule(d, [this, p, c, cold, ok, actual_exec] {
     pool_.return_container(c, rt_.now());
     --running_;
-    ins_.inflight->set(static_cast<std::int64_t>(running_));
     if (ok) {
       Pending& rec = pending_.get(p);
       InvokeResult r;
@@ -374,9 +352,7 @@ void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
       r.queue_wait = (rec.exec_started - rec.submitted) - rec.pre_overhead;
       if (r.queue_wait < Duration::zero()) r.queue_wait = Duration::zero();
       flight::record(r.completed, flight::Ev::kComplete, rec.fn);
-      ins_.completed->inc();
-      ins_.queue_wait_ms->observe(to_ms(r.queue_wait));
-      ins_.overhead_ms->observe(to_ms(r.overhead()));
+      ++completed_;
       // Congestion signal per §5.1: "the increase in execution time" —
       // contention inflation of execution, NOT flow stretch (flow stretch
       // includes queueing, so shrinking the limit would raise the signal
@@ -388,10 +364,10 @@ void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
                             static_cast<double>(base.count()));
       }
       if (cold) {
-        ins_.cold->inc();
+        ++cold_starts_;
         chars_.record_cold(rec.fn, actual_exec);
       } else {
-        ins_.warm->inc();
+        ++warm_starts_;
         chars_.record_warm(rec.fn, actual_exec);
       }
       // The callback may reenter invoke() and grow the slab, so retire the
@@ -408,7 +384,7 @@ void Worker::finish(PendingHandle p, ContainerHandle c, bool cold, bool ok,
 }
 
 void Worker::fail(PendingHandle p) {
-  ins_.failures->inc();
+  ++failures_;
   Pending& rec = pending_.get(p);
   flight::record(rt_.now(), flight::Ev::kFailure, rec.fn);
   InvokeResult r;
@@ -434,7 +410,6 @@ void Worker::on_memory_released() {
     item.arrival = rec.submitted;
     item.dispatch = [this, p] {
       ++running_;
-      ins_.inflight->set(static_cast<std::int64_t>(running_));
       dispatch(p);
     };
     queue_.push(std::move(item), pool_.has_idle(fn));
@@ -458,11 +433,12 @@ void Worker::prewarm(FunctionId fn, std::function<void(bool)> cb) {
         if (!ok) {
           pool_.remove(c);
           if (cb) cb(false);
+          on_memory_released();
           return;
         }
         pool_.park_prewarmed(c, rt_.now());
         flight::record(rt_.now(), flight::Ev::kPrewarm, fn);
-        ins_.prewarms->inc();
+        ++prewarms_;
         if (cb) cb(true);
       });
     });

@@ -15,7 +15,6 @@
 #include "containers/cpu_model.hpp"
 #include "keepalive/pool.hpp"
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "queueing/invocation_queue.hpp"
 #include "queueing/regulator.hpp"
 #include "runtime/runtime.hpp"
@@ -147,19 +146,16 @@ class Worker {
   };
   Status status() const;
 
-  /// Aggregate counters.
-  std::uint64_t completed() const { return ins_.completed->value(); }
-  std::uint64_t warm_starts() const { return ins_.warm->value(); }
-  std::uint64_t cold_starts() const { return ins_.cold->value(); }
-  std::uint64_t bypassed() const { return ins_.bypassed->value(); }
-  std::uint64_t failures() const { return ins_.failures->value(); }
-  std::uint64_t prewarms() const { return ins_.prewarms->value(); }
+  /// Aggregate counters. Plain fields, like the rest of the worker's
+  /// state: read them on the worker's event loop or after the run.
+  std::uint64_t completed() const { return completed_; }
+  std::uint64_t warm_starts() const { return warm_starts_; }
+  std::uint64_t cold_starts() const { return cold_starts_; }
+  std::uint64_t bypassed() const { return bypassed_; }
+  std::uint64_t failures() const { return failures_; }
+  std::uint64_t prewarms() const { return prewarms_; }
 
   /// Component access for tests, benches, and research instrumentation.
-  /// Live metrics (counters/gauges/histograms) for this worker: invocation
-  /// counts, in-flight level, queue depth/wait, pool occupancy, overheads.
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
   CpuModel& cpu() { return cpu_; }
   ContainerPool& pool() { return pool_; }
   NetnsPool& netns() { return netns_; }
@@ -221,23 +217,6 @@ class Worker {
   /// The table this worker reads: own_functions_ or its cluster's.
   const std::vector<FunctionProfile>& functions_;
   CharacteristicsMap chars_;
-  MetricsRegistry metrics_;
-  /// Instruments resolved once at construction; hot-path updates are
-  /// single relaxed atomics through these pointers.
-  struct Instruments {
-    Counter* invocations = nullptr;
-    Counter* completed = nullptr;
-    Counter* warm = nullptr;
-    Counter* cold = nullptr;
-    Counter* failures = nullptr;
-    Counter* bypassed = nullptr;
-    Counter* prewarms = nullptr;
-    Gauge* inflight = nullptr;
-    /// Log-bucketed: queue waits and overheads span µs (bypass hits) to
-    /// seconds (cold-start storms); fixed-width buckets flatten that tail.
-    LogHistogram* queue_wait_ms = nullptr;
-    LogHistogram* overhead_ms = nullptr;
-  } ins_;
   CpuModel cpu_;
   std::unique_ptr<KeepAlivePolicy> ka_policy_;
   ContainerPool pool_;
@@ -248,6 +227,12 @@ class Worker {
   ConcurrencyRegulator regulator_;
 
   std::size_t running_ = 0;
+  std::uint64_t completed_ = 0;
+  std::uint64_t warm_starts_ = 0;
+  std::uint64_t cold_starts_ = 0;
+  std::uint64_t bypassed_ = 0;
+  std::uint64_t failures_ = 0;
+  std::uint64_t prewarms_ = 0;
   /// All in-flight invocations; erased on completion/failure so slots
   /// recycle and steady state never allocates.
   PendingStore pending_;

@@ -18,9 +18,8 @@
 ///   queueing/  invocation queue disciplines (FCFS/SJF/EEDF/RARE),
 ///              concurrency regulator (fixed/AIMD), bypass
 ///   obs/       observability: the always-on flight recorder (which also
-///              carries the worker's Table 1 stages), the metrics registry
-///              (log-bucketed histograms), the telemetry time-series
-///              sampler, and Chrome-trace/JSON exporters
+///              carries the worker's Table 1 stages, and exports as a
+///              Chrome trace) and log-bucketed histograms
 ///   core/      the Ilúvatar worker and its substrates (CPU model,
 ///              function characteristics)
 ///   baseline/  the OpenWhisk behavioural model (and FaasCache, via its
@@ -48,10 +47,8 @@
 #include "lb/chbl.hpp"
 #include "lb/cluster.hpp"
 #include "metrics/report.hpp"
-#include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "queueing/invocation_queue.hpp"
 #include "queueing/queue_policy.hpp"
 #include "queueing/regulator.hpp"

@@ -40,25 +40,6 @@ void ContainerPool::schedule_sweep() {
   });
 }
 
-void ContainerPool::sync_metrics() {
-  if (metrics_.total) {
-    metrics_.total->set(static_cast<std::int64_t>(store_.size()));
-  }
-  if (metrics_.idle) {
-    metrics_.idle->set(static_cast<std::int64_t>(rank_.size()));
-  }
-  if (metrics_.busy) {
-    metrics_.busy->set(
-        static_cast<std::int64_t>(store_.size() - rank_.size()));
-  }
-  if (metrics_.prewarmed) {
-    metrics_.prewarmed->set(static_cast<std::int64_t>(prewarmed_idle_));
-  }
-  if (metrics_.used_mb) {
-    metrics_.used_mb->set(static_cast<std::int64_t>(used_mb_));
-  }
-}
-
 void ContainerPool::insert_idle(ContainerHandle h, Container& c) {
   assert(c.state == ContainerState::Idle);
   if (c.fn >= idle_head_.size()) idle_head_.resize(c.fn + 1);
@@ -71,7 +52,6 @@ void ContainerPool::insert_idle(ContainerHandle h, Container& c) {
       rank_.push(RankKey{policy_.eviction_rank(c.entry), next_idle_seq_++}, h);
   c.rank_slot = rh.slot;
   c.rank_gen = rh.gen;
-  if (c.prewarm_parked) ++prewarmed_idle_;
 }
 
 void ContainerPool::remove_idle(ContainerHandle h, Container& c) {
@@ -90,7 +70,6 @@ void ContainerPool::remove_idle(ContainerHandle h, Container& c) {
   (void)erased;
   c.rank_slot = 0;
   c.rank_gen = 0;
-  if (c.prewarm_parked) --prewarmed_idle_;
 }
 
 void ContainerPool::evict_one(ContainerHandle h, bool expired) {
@@ -101,10 +80,8 @@ void ContainerPool::evict_one(ContainerHandle h, bool expired) {
   policy_.on_evict(c.entry);
   if (expired) {
     ++expirations_;
-    if (metrics_.expirations) metrics_.expirations->inc();
   } else {
     ++evictions_;
-    if (metrics_.evictions) metrics_.evictions->inc();
   }
   used_mb_ -= c.entry.mem_mb;
   c.state = ContainerState::Removed;
@@ -112,7 +89,6 @@ void ContainerPool::evict_one(ContainerHandle h, bool expired) {
   // worker can read teardown state (netns id) without a copy.
   if (on_evict_) on_evict_(c);
   store_.erase(h);
-  sync_metrics();
 }
 
 bool ContainerPool::make_room(std::uint32_t mem_mb) {
@@ -135,7 +111,6 @@ ContainerHandle ContainerPool::acquire(FunctionId fn, TimePoint now) {
   ++c.entry.uses;
   c.entry.last_used = now;
   policy_.on_access(c.entry, now);
-  sync_metrics();
   return h;
 }
 
@@ -161,7 +136,6 @@ ContainerHandle ContainerPool::add_container(FunctionId fn,
   c.entry.last_used = now;
   c.entry.uses = 0;
   used_mb_ += profile.mem_mb;
-  sync_metrics();
   return h;
 }
 
@@ -180,7 +154,6 @@ void ContainerPool::return_container(ContainerHandle h, TimePoint now) {
   c.entry.last_used = now;
   policy_.on_access(c.entry, now);
   insert_idle(h, c);
-  sync_metrics();
 }
 
 void ContainerPool::park_prewarmed(ContainerHandle h, TimePoint now) {
@@ -191,8 +164,6 @@ void ContainerPool::park_prewarmed(ContainerHandle h, TimePoint now) {
   c.prewarm_parked = true;
   policy_.on_access(c.entry, now);
   insert_idle(h, c);
-  if (metrics_.prewarm_parks) metrics_.prewarm_parks->inc();
-  sync_metrics();
 }
 
 void ContainerPool::remove(ContainerHandle h) {
@@ -201,7 +172,6 @@ void ContainerPool::remove(ContainerHandle h) {
   used_mb_ -= c.entry.mem_mb;
   c.state = ContainerState::Removed;
   store_.erase(h);
-  sync_metrics();
   // Not an eviction: creation failure or shutdown; no policy notification.
 }
 
@@ -252,7 +222,6 @@ bool ContainerPool::validate(std::string* why) const {
 
   std::uint64_t mem = 0;
   std::size_t idle = 0;
-  std::size_t prewarmed = 0;
   bool ok = true;
   std::string msg;
   store_.for_each([&](ContainerHandle h, const Container& c) {
@@ -260,7 +229,6 @@ bool ContainerPool::validate(std::string* why) const {
     mem += c.entry.mem_mb;
     if (c.state == ContainerState::Idle) {
       ++idle;
-      if (c.prewarm_parked) ++prewarmed;
       if (c.rank_gen == 0 ||
           !rank_.contains(RankHeap::Handle{c.rank_slot, c.rank_gen})) {
         ok = false;
@@ -283,7 +251,6 @@ bool ContainerPool::validate(std::string* why) const {
     return fail("used_mb does not match sum of container sizes");
   }
   if (idle != rank_.size()) return fail("rank index size != idle count");
-  if (prewarmed != prewarmed_idle_) return fail("prewarmed count mismatch");
 
   // Walk every per-function list and check link integrity + membership.
   std::size_t listed = 0;

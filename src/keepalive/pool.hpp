@@ -6,7 +6,6 @@
 
 #include "containers/container.hpp"
 #include "keepalive/policy.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/indexed_heap.hpp"
 #include "runtime/runtime.hpp"
 
@@ -61,22 +60,6 @@ class ContainerPool {
     on_prewarm_request_ = std::move(fn);
   }
 
-  /// Optional live-metrics hooks (null pointers are skipped). `busy` is
-  /// containers not currently idle (running or being provisioned).
-  struct Metrics {
-    Counter* evictions = nullptr;
-    Counter* expirations = nullptr;
-    Counter* prewarm_parks = nullptr;
-    Gauge* total = nullptr;
-    Gauge* idle = nullptr;
-    Gauge* busy = nullptr;
-    Gauge* prewarmed = nullptr;
-    Gauge* used_mb = nullptr;
-  };
-  void set_metrics(const Metrics& m) {
-    metrics_ = m;
-    sync_metrics();
-  }
   ~ContainerPool();
 
   ContainerPool(const ContainerPool&) = delete;
@@ -168,7 +151,6 @@ class ContainerPool {
 
   void insert_idle(ContainerHandle h, Container& c);
   void remove_idle(ContainerHandle h, Container& c);
-  void sync_metrics();
   void evict_one(ContainerHandle h, bool expired);
   bool make_room(std::uint32_t mem_mb);
   void schedule_sweep();
@@ -181,9 +163,6 @@ class ContainerPool {
   Config cfg_;
   EvictFn on_evict_;
   PrewarmRequestFn on_prewarm_request_;
-  Metrics metrics_;
-  /// Idle containers still carrying their prewarm flag.
-  std::size_t prewarmed_idle_ = 0;
 
   std::uint64_t capacity_mb_;
   std::uint64_t used_mb_ = 0;

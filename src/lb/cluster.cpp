@@ -48,9 +48,7 @@ void Cluster::build_workers() {
     Runtime& wrt = srt_ ? static_cast<Runtime&>(srt_->shard(shard)) : rt_;
     worker_shard_.push_back(shard);
     workers_.push_back(std::make_unique<Worker>(wrt, wc, functions_));
-    dispatch_counters_.push_back(metrics_.counter("lb.dispatch." + wc.name));
   }
-  forwarded_counter_ = metrics_.counter("lb.forwarded");
 }
 
 void Cluster::start() {
@@ -89,10 +87,7 @@ std::size_t Cluster::route(FunctionId fn) {
     }
     case LbPolicy::ChBl: {
       std::size_t w = chbl_.pick(fn_hashes_.at(fn), lb_view_, lb_view_sum_);
-      if (chbl_.last_hops() > 0) {
-        ++forwarded_;
-        forwarded_counter_->inc();
-      }
+      if (chbl_.last_hops() > 0) ++forwarded_;
       return w;
     }
   }
@@ -128,7 +123,6 @@ void Cluster::invoke(FunctionId fn, Worker::InvokeCb cb) {
   ++routed_[w];
   flight::record(rt_.now(), flight::Ev::kLbRoute,
                  static_cast<std::uint32_t>(w));
-  dispatch_counters_[w]->inc();
   lb_view_[w] += 1.0;
   lb_view_sum_ += 1.0;
   // Model the LB <-> worker RPC hop both ways. Both samples are drawn here,

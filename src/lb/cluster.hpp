@@ -8,7 +8,6 @@
 #include "core/worker.hpp"
 #include "lb/chbl.hpp"
 #include "lb/placement.hpp"
-#include "obs/metrics.hpp"
 #include "runtime/latency.hpp"
 #include "runtime/sharded_runtime.hpp"
 
@@ -101,13 +100,6 @@ class Cluster {
   /// The LB's local load view: dispatched-but-not-returned per worker.
   const std::vector<double>& load_view() const { return lb_view_; }
 
-  /// Load-balancer metrics: per-worker dispatch counters
-  /// ("lb.dispatch.<worker>") and the CH-BL forwarding counter
-  /// ("lb.forwarded"). Per-worker control-plane metrics live in each
-  /// worker's own registry (worker(i).metrics()).
-  MetricsRegistry& metrics() { return metrics_; }
-  const MetricsRegistry& metrics() const { return metrics_; }
-
  private:
   void build_workers();
   std::size_t route(FunctionId fn);
@@ -147,9 +139,6 @@ class Cluster {
   /// LB's loop; worker_seq_[w] only on worker w's loop.
   std::uint64_t lb_seq_ = 0;
   std::vector<std::uint64_t> worker_seq_;
-  MetricsRegistry metrics_;
-  std::vector<Counter*> dispatch_counters_;
-  Counter* forwarded_counter_ = nullptr;
 };
 
 }  // namespace ilu

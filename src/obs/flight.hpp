@@ -54,6 +54,8 @@ enum class Ev : std::uint16_t {
   kFailure = 9,          // arg = function id
   kPrewarm = 10,         // arg = function id
   kLbRoute = 11,         // arg = worker index
+  // Nothing records kSamplerTick any more; the code stays so older dumps
+  // still decode.
   kSamplerTick = 12,     // arg = frame index
   kMemoryPark = 13,      // arg = function id (cold start parked on memory)
   kReplayMilestone = 14, // arg = percent of trace events submitted (0..100)

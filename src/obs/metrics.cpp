@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 // ilu-lint: atomics-floor(relaxed) - histogram cells are independent monotone counters; min/max CAS loops tolerate stale views
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -121,52 +122,6 @@ void LogHistogram::reset() {
                    std::memory_order_relaxed);
   max_micro_.store(std::numeric_limits<std::int64_t>::min(),
                    std::memory_order_relaxed);
-}
-
-Counter* MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return slot.get();
-}
-
-Gauge* MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-LogHistogram* MetricsRegistry::log_histogram(const std::string& name,
-                                             double min_value,
-                                             double max_value) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto& slot = log_histograms_[name];
-  if (!slot) slot = std::make_unique<LogHistogram>(min_value, max_value);
-  return slot.get();
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot s;
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& [name, c] : counters_) s.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) s.gauges[name] = g->value();
-  for (const auto& [name, h] : log_histograms_) {
-    MetricsSnapshot::LogHistogramData d;
-    d.count = h->count();
-    d.sum = h->sum();
-    d.mean = h->mean();
-    d.min = h->observed_min();
-    d.max = h->observed_max();
-    d.p50 = h->percentile(0.50);
-    d.p90 = h->percentile(0.90);
-    d.p99 = h->percentile(0.99);
-    d.p999 = h->percentile(0.999);
-    d.saturated = h->saturated();
-    d.overflow_count = h->overflow_count();
-    s.log_histograms[name] = std::move(d);
-  }
-  return s;
 }
 
 }  // namespace ilu

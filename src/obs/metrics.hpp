@@ -1,60 +1,26 @@
 #pragma once
-// ilu-lint: atomics-floor(relaxed) - instruments are monotone counters/last-write gauges scraped by the sampler; per-op ordering buys nothing
+// ilu-lint: atomics-floor(relaxed) - histogram cells are independent monotone counters shared by concurrent observers; per-op ordering buys nothing
 
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
-/// Live metrics: thread-safe counters, gauges, and log-bucketed histograms
-/// with cheap relaxed-atomic updates, collected in a name-keyed registry.
-///
-/// Registration (looking an instrument up by name) takes a mutex and is a
-/// cold-path operation — components resolve their instruments once at wiring
-/// time and hold the returned pointers, which stay valid for the registry's
-/// lifetime (the registry-lookup-hotpath lint check enforces this).
-/// Updates through those pointers are single atomic RMW ops, so the invoke
-/// hot path never locks. snapshot() reads every instrument with relaxed
-/// loads: values are individually coherent, not a consistent cut (fine for
-/// status lines and end-of-run dumps).
-///
-/// The histogram is LogHistogram: HDR-style log-bucketed (octave ×
-/// subbucket), honest p50/p99/p999 over µs→s with bounded relative error
-/// and a deterministic merge (DESIGN.md §12).
+/// LogHistogram: an HDR-style log-bucketed histogram (octave × subbucket)
+/// with cheap relaxed-atomic updates, honest p50/p99/p999 over µs→s with
+/// bounded relative error, and a deterministic merge (DESIGN.md §12).
+/// Several threads may observe into one instance concurrently — the live
+/// load harness's producer threads share its lateness histogram.
 namespace ilu {
-
-/// Monotonically increasing event count.
-class Counter {
- public:
-  void inc(std::uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Instantaneous signed level (queue depth, containers idle, MB in use).
-class Gauge {
- public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  void sub(std::int64_t d) { v_.fetch_sub(d, std::memory_order_relaxed); }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> v_{0};
-};
 
 /// HDR-style log-bucketed histogram over [min_value, max_value): each
 /// power-of-two octave of the range is split into 2^subbucket_bits linear
 /// subbuckets, so the relative error of any quantile upper bound is at most
-/// 1 / 2^subbucket_bits (≈3.1% at the default 32 subbuckets/octave) while
-/// the whole µs→s range costs ~1 KB of buckets.
+/// 1 / 2^subbucket_bits (≈3.1% at the default 32 subbuckets/octave). The
+/// default range, 1 µs to 100 s in ms units, is 27 octaves × 32 = 864
+/// eight-byte buckets: 6.9 KB per histogram.
 ///
 /// An observation is a handful of relaxed atomic ops; the bucket index is
 /// pure bit arithmetic on a fixed-point mantissa (no log, no loop):
@@ -167,52 +133,6 @@ class LogHistogram {
   std::atomic<std::uint64_t> overflow_count_{0};
   std::atomic<std::int64_t> min_micro_;
   std::atomic<std::int64_t> max_micro_;
-};
-
-/// Point-in-time copy of every instrument in a registry.
-struct MetricsSnapshot {
-  /// Scalars only: the ~900 raw buckets stay on the live instrument; the
-  /// snapshot carries the digested tail shape every exporter wants.
-  struct LogHistogramData {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
-    double p999 = 0.0;
-    bool saturated = false;
-    std::uint64_t overflow_count = 0;
-  };
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, std::int64_t> gauges;
-  std::map<std::string, LogHistogramData> log_histograms;
-};
-
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// Find-or-create by name. Returned pointers remain valid until the
-  /// registry is destroyed. log_histogram() with a name that already exists
-  /// returns the existing instrument (its geometry wins).
-  Counter* counter(const std::string& name);
-  Gauge* gauge(const std::string& name);
-  LogHistogram* log_histogram(const std::string& name,
-                              double min_value = LogHistogram::kDefaultMin,
-                              double max_value = LogHistogram::kDefaultMax);
-
-  MetricsSnapshot snapshot() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<LogHistogram>> log_histograms_;
 };
 
 }  // namespace ilu

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "queueing/queue_policy.hpp"
 #include "runtime/indexed_heap.hpp"
 #include "runtime/runtime.hpp"
@@ -36,9 +35,6 @@ class InvocationQueue {
                      static_cast<std::uint32_t>(item.fn));
     }
     items_.push(Key{pri, item.seq}, std::move(item));
-    if (depth_gauge_) {
-      depth_gauge_->set(static_cast<std::int64_t>(items_.size()));
-    }
   }
 
   /// Dispatch the lowest-priority item.
@@ -48,9 +44,6 @@ class InvocationQueue {
     if (clock_ != nullptr) {
       flight::record(clock_->now(), flight::Ev::kQueueDeq,
                      static_cast<std::uint32_t>(item.fn));
-    }
-    if (depth_gauge_) {
-      depth_gauge_->set(static_cast<std::int64_t>(items_.size()));
     }
     return item;
   }
@@ -65,14 +58,6 @@ class InvocationQueue {
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 
-  /// Mirror the queue depth into a live gauge (nullptr disables).
-  void set_depth_gauge(Gauge* g) {
-    depth_gauge_ = g;
-    if (depth_gauge_) {
-      depth_gauge_->set(static_cast<std::int64_t>(items_.size()));
-    }
-  }
-
   /// Timestamp source for flight-recorder enq/deq stamps (nullptr disables
   /// stamping entirely — e.g. microbenchmarks of the bare queue).
   void set_flight_clock(const Runtime* rt) { clock_ = rt; }
@@ -82,7 +67,6 @@ class InvocationQueue {
 
   const QueuePolicy& policy_;
   const CharacteristicsMap& chars_;
-  Gauge* depth_gauge_ = nullptr;
   const Runtime* clock_ = nullptr;
   std::uint64_t next_seq_ = 0;
   IndexedHeap<Key, QueueItem> items_;

@@ -54,8 +54,7 @@ class RealRuntime final : public Runtime {
   /// Stop the loop thread; pending timers are dropped. Called by the dtor.
   void shutdown();
 
-  /// Callbacks executed so far. Readable from any thread — the telemetry
-  /// sampler's events/s source.
+  /// Callbacks executed so far. Readable from any thread.
   std::uint64_t executed() const {
     return executed_.load(std::memory_order_relaxed);
   }

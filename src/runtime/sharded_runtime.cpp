@@ -1,5 +1,5 @@
 #include "runtime/sharded_runtime.hpp"
-// ilu-lint: atomics-floor(relaxed) - horizon_/events_ are per-shard slots published between barriers; the barrier supplies the ordering
+// ilu-lint: atomics-floor(relaxed) - horizon_ holds per-shard slots published between barriers; the barrier supplies the ordering
 // ilu-lint: atomics-floor(acquire: gen_) - the barrier generation publishes every shard's pre-barrier writes; its bump is acq_rel, waiters spin on acquire
 
 #include <algorithm>
@@ -65,7 +65,7 @@ ShardedRuntime::ShardedRuntime(std::size_t shards, Duration lookahead)
   outbox_.resize(shards * shards);
   scratch_.resize(shards);
   horizon_ = std::vector<std::atomic<std::int64_t>>(shards);
-  events_ = std::vector<std::atomic<std::uint64_t>>(shards);
+  events_.assign(shards, 0);
   delivered_.assign(shards, 0);
 }
 
@@ -138,17 +138,15 @@ void ShardedRuntime::run_windows(TimePoint limit) {
       }
       if (tmin == kIdle || tmin > limit_us) break;
       rt.run_before(TimePoint{std::min(tmin + lookahead_.count(), cap_us)});
-      // Publish progress for concurrent telemetry readers and stamp the
-      // barrier crossing on this thread's flight ring (ts = the shard clock
-      // after the window, arg = shard index).
-      events_[me].store(rt.events_processed(), std::memory_order_relaxed);
+      // Stamp the barrier crossing on this thread's flight ring (ts = the
+      // shard clock after the window, arg = shard index).
       flight::record(rt.now(), flight::Ev::kWindowBarrier,
                      static_cast<std::uint32_t>(me));
       if (me == 0) ++windows_;
       barrier.arrive_and_wait();  // all outboxes complete
     }
     if (limit_us != kIdle) rt.run_until(limit);
-    events_[me].store(rt.events_processed(), std::memory_order_relaxed);
+    events_[me] = rt.events_processed();
   };
 
   std::vector<std::thread> threads;
@@ -168,8 +166,7 @@ void ShardedRuntime::run_until(TimePoint t) {
     // N-shard path where run_windows binds shards to window threads.
     shards_[0]->bind_owner();
     shards_[0]->run_until(t);
-    events_[0].store(shards_[0]->events_processed(),
-                     std::memory_order_relaxed);
+    events_[0] = shards_[0]->events_processed();
     return;
   }
   run_windows(t);
@@ -179,8 +176,7 @@ void ShardedRuntime::run() {
   if (shards_.size() == 1) {
     shards_[0]->bind_owner();
     shards_[0]->run();
-    events_[0].store(shards_[0]->events_processed(),
-                     std::memory_order_relaxed);
+    events_[0] = shards_[0]->events_processed();
     return;
   }
   run_windows(TimePoint{kIdle});
@@ -201,7 +197,7 @@ std::uint64_t ShardedRuntime::messages() const {
 
 std::uint64_t ShardedRuntime::total_events() const {
   std::uint64_t total = 0;
-  for (const auto& e : events_) total += e.load(std::memory_order_relaxed);
+  for (std::uint64_t e : events_) total += e;
   return total;
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// ilu-lint: atomics-floor(relaxed) - events_/horizon_ are published between barriers (the barrier supplies the ordering); events_ doubles as a monotone telemetry counter
+// ilu-lint: atomics-floor(relaxed) - horizon_ is published between barriers (the barrier supplies the ordering)
 
 #include <atomic>
 #include <cstdint>
@@ -75,13 +75,8 @@ class ShardedRuntime {
   /// Cross-shard messages delivered through mailboxes so far.
   std::uint64_t messages() const;
 
-  /// Events processed by shard `i`, as last published at a window barrier
-  /// (refreshed every window while a run is in flight, exact once it
-  /// returns). Readable from any thread — this is the telemetry sampler's
-  /// events/s-per-shard source; reading it never perturbs the simulation.
-  std::uint64_t shard_events(std::size_t i) const {
-    return events_[i].load(std::memory_order_relaxed);
-  }
+  /// Events processed by all shards, as each shard stored it when its loop
+  /// ended. Read it between runs, not during one.
   std::uint64_t total_events() const;
 
  private:
@@ -108,9 +103,9 @@ class ShardedRuntime {
   /// Plain values would race; the window barriers order the accesses, and
   /// atomics make the publication explicit for the sanitizer.
   std::vector<std::atomic<std::int64_t>> horizon_;
-  /// Per-shard processed-event counters, published (relaxed) every window
-  /// for concurrent telemetry readers.
-  std::vector<std::atomic<std::uint64_t>> events_;
+  /// Per-shard processed-event counts, each stored by its shard's thread
+  /// when its loop ends (the thread joins publish them).
+  std::vector<std::uint64_t> events_;
   /// Messages delivered per destination shard (owner-thread writes only).
   std::vector<std::uint64_t> delivered_;
   std::uint64_t windows_ = 0;

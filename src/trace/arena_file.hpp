@@ -78,8 +78,6 @@ class ArenaFileWriter {
   /// Returns total file bytes. The writer is unusable afterwards.
   std::uint64_t finalize();
 
-  std::uint64_t events_written() const { return num_events_; }
-
  private:
   std::string path_;
   std::FILE* f_ = nullptr;

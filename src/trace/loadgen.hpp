@@ -46,7 +46,6 @@ class OpenLoopDriver {
   std::size_t submitted() const { return next_; }
   std::size_t outstanding() const { return outstanding_; }
   const std::vector<InvokeResult>& results() const { return results_; }
-  std::vector<InvokeResult>& mutable_results() { return results_; }
 
  private:
   void begin();

@@ -54,9 +54,9 @@ TEST(IluLint, CatalogueListsAllChecks) {
   EXPECT_EQ(names, (std::set<std::string>{
                        "wall-clock", "unordered-iter", "ptr-order",
                        "raw-thread", "std-function-hotpath",
-                       "const-ref-capture", "registry-lookup-hotpath",
-                       "lock-order", "atomics-discipline",
-                       "blocking-under-lock", "include-layering"}));
+                       "const-ref-capture", "lock-order",
+                       "atomics-discipline", "blocking-under-lock",
+                       "include-layering"}));
 }
 
 // ---- wall-clock ----------------------------------------------------------
@@ -249,45 +249,6 @@ TEST(IluLint, ConstRefCaptureExemptsSweepMachinery) {
   // the scope exits, by design.
   auto fs = lint_fixture_at("const_ref_capture.cpp", "exp/fixture.cpp");
   EXPECT_EQ(count_check(fs, "const-ref-capture"), 0);
-}
-
-// ---- registry-lookup-hotpath ---------------------------------------------
-
-TEST(IluLint, RegistryLookupHotpathFires) {
-  auto fs =
-      lint_fixture_at("registry_lookup_hotpath.cpp", "core/fixture.cpp");
-  EXPECT_EQ(count_check(fs, "registry-lookup-hotpath"), 4)
-      << "counter/gauge/histogram/log_histogram literal lookups in lambdas; "
-         "wiring-time lookup and dynamic-name lookup stay clean";
-  EXPECT_EQ(check_names(fs),
-            std::set<std::string>{"registry-lookup-hotpath"});
-}
-
-TEST(IluLint, RegistryLookupHotpathSuppressed) {
-  auto fs = lint_fixture_at("registry_lookup_hotpath_suppressed.cpp",
-                            "core/fixture.cpp");
-  EXPECT_TRUE(fs.empty());
-}
-
-TEST(IluLint, RegistryLookupHotpathExemptsObsAndExp) {
-  // The obs layer owns the registry; exp/ sweep jobs wire fresh panels per
-  // run inside their job lambdas.
-  for (const char* path : {"obs/fixture.cpp", "exp/fixture.cpp"}) {
-    auto fs = lint_fixture_at("registry_lookup_hotpath.cpp", path);
-    EXPECT_EQ(count_check(fs, "registry-lookup-hotpath"), 0) << "at " << path;
-  }
-}
-
-TEST(IluLint, RegistryLookupHotpathIgnoresTopLevelLookups) {
-  ilu::lint::FileInput in;
-  in.rel_path = "core/fixture.cpp";
-  in.content =
-      "void wire(Registry& reg) {\n"
-      "  auto* c = reg.counter(\"pool.hits\");\n"
-      "  auto* h = reg.log_histogram(\"wait_ms\");\n"
-      "}\n";
-  auto fs = lint_file(in);
-  EXPECT_TRUE(fs.empty()) << "wiring-time lookups outside lambdas are fine";
 }
 
 // ---- suppression grammar -------------------------------------------------

@@ -1,20 +1,14 @@
 // Log-bucketed histograms (obs/metrics): bounded relative error across the
 // µs→s range, deterministic shard-count-independent merge, exact overflow
-// tracking and exact whole-µs sums, and registry snapshot/export plumbing.
+// tracking and exact whole-µs sums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
 
@@ -188,65 +182,6 @@ TEST(LogHistogram, MergeIsShardCountInvariant) {
       ASSERT_EQ(merged.bucket(b), reference.bucket(b)) << "bucket " << b;
     }
   }
-}
-
-// ---- registry + snapshot + export ----------------------------------------
-
-TEST(MetricsRegistry, LogHistogramFindOrCreate) {
-  MetricsRegistry reg;
-  LogHistogram* a = reg.log_histogram("lat");
-  LogHistogram* b = reg.log_histogram("lat", 1.0, 10.0);
-  EXPECT_EQ(a, b) << "existing instrument (and its geometry) wins";
-  a->observe(2.0);
-  a->observe(5.0e5);  // overflow
-
-  MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.log_histograms.count("lat"), 1u);
-  const auto& d = snap.log_histograms.at("lat");
-  EXPECT_EQ(d.count, 2u);
-  EXPECT_TRUE(d.saturated);
-  EXPECT_EQ(d.overflow_count, 1u);
-  EXPECT_DOUBLE_EQ(d.max, 5.0e5);
-  EXPECT_GT(d.p99, 0.0);
-}
-
-TEST(MetricsExport, JsonCarriesSaturationAndLogHistograms) {
-  MetricsRegistry reg;
-  LogHistogram* narrow = reg.log_histogram("narrow", 1.0, 4.0);
-  narrow->observe(99.0);
-  LogHistogram* lh = reg.log_histogram("wait_ms");
-  lh->observe(0.25);
-
-  JsonValue doc = metrics_json(reg.snapshot());
-  std::string text = doc.dump();
-  JsonValue parsed = json_parse(text);
-
-  const JsonValue* lhs = parsed.find("log_histograms");
-  ASSERT_NE(lhs, nullptr);
-  const JsonValue* nx = lhs->find("narrow");
-  ASSERT_NE(nx, nullptr);
-  EXPECT_TRUE(nx->find("saturated")->as_bool());
-  EXPECT_DOUBLE_EQ(nx->find("max")->as_number(), 99.0);
-
-  const JsonValue* w = lhs->find("wait_ms");
-  ASSERT_NE(w, nullptr);
-  EXPECT_EQ(w->find("count")->as_number(), 1.0);
-  EXPECT_FALSE(w->find("saturated")->as_bool());
-  EXPECT_DOUBLE_EQ(w->find("p50")->as_number(), 0.25);
-}
-
-TEST(MetricsExport, CsvCarriesLogHistogramRows) {
-  MetricsRegistry reg;
-  reg.log_histogram("lat_ms")->observe(1.5);
-  std::string path = ::testing::TempDir() + "metrics_loghist.csv";
-  write_metrics_csv(reg.snapshot(), path);
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  std::string csv = ss.str();
-  EXPECT_NE(csv.find("lat_ms"), std::string::npos);
-  EXPECT_NE(csv.find("p99"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

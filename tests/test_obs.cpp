@@ -1,84 +1,13 @@
-// Observability layer: metrics registry (counters/gauges/log histograms,
-// snapshots), metrics JSON/CSV exporters, pluggable log sink, and the
-// worker's metrics and flight stage records.
+// Observability layer: the worker's counters and its flight stage records.
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <numeric>
 
 #include "iluvatar.hpp"
 
 namespace ilu {
 namespace {
-
-// --------------------------------------------------------------- metrics --
-
-TEST(Metrics, CounterAndGaugeBasics) {
-  Counter c;
-  c.inc();
-  c.inc(4);
-  EXPECT_EQ(c.value(), 5u);
-  Gauge g;
-  g.set(7);
-  g.add(3);
-  g.sub(12);
-  EXPECT_EQ(g.value(), -2);
-}
-
-TEST(Metrics, RegistryFindOrCreateReturnsStablePointers) {
-  MetricsRegistry reg;
-  Counter* c1 = reg.counter("x");
-  Counter* c2 = reg.counter("x");
-  EXPECT_EQ(c1, c2);
-  LogHistogram* h1 = reg.log_histogram("h", 1.0, 4.0);
-  LogHistogram* h2 = reg.log_histogram("h", 0.5, 99.0);  // geometry wins
-  EXPECT_EQ(h1, h2);
-  EXPECT_DOUBLE_EQ(h2->min_value(), 1.0);
-  EXPECT_DOUBLE_EQ(h2->max_value(), 4.0);
-}
-
-TEST(Metrics, SnapshotJsonRoundTrip) {
-  MetricsRegistry reg;
-  reg.counter("invocations")->inc(42);
-  reg.gauge("inflight")->set(-3);
-  LogHistogram* h = reg.log_histogram("wait_ms", 1.0, 64.0);
-  h->observe(1.0);
-  h->observe(3.0);
-  h->observe(100.0);  // overflow
-
-  MetricsSnapshot snap = reg.snapshot();
-  JsonValue parsed = json_parse(metrics_json(snap).dump());
-
-  EXPECT_DOUBLE_EQ(
-      parsed.find("counters")->find("invocations")->as_number(), 42.0);
-  EXPECT_DOUBLE_EQ(parsed.find("gauges")->find("inflight")->as_number(),
-                   -3.0);
-  const JsonValue* hist = parsed.find("log_histograms")->find("wait_ms");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_DOUBLE_EQ(hist->find("count")->as_number(), 3.0);
-  EXPECT_DOUBLE_EQ(hist->find("sum")->as_number(), 104.0);
-  EXPECT_DOUBLE_EQ(hist->find("min")->as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(hist->find("max")->as_number(), 100.0);
-  EXPECT_DOUBLE_EQ(hist->find("overflow_count")->as_number(), 1.0);
-  EXPECT_TRUE(hist->find("saturated")->as_bool());
-}
-
-TEST(Metrics, CsvExportWrites) {
-  MetricsRegistry reg;
-  reg.counter("c")->inc(2);
-  reg.gauge("g")->set(5);
-  reg.log_histogram("h")->observe(0.5);
-  std::string path = testing::TempDir() + "/obs_metrics.csv";
-  write_metrics_csv(reg.snapshot(), path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string all((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
-  EXPECT_NE(all.find("counter"), std::string::npos);
-  EXPECT_NE(all.find("gauge"), std::string::npos);
-  EXPECT_NE(all.find("log_histogram"), std::string::npos);
-}
 
 // --------------------------------------------------- worker integration --
 
@@ -102,14 +31,11 @@ TEST(WorkerObservability, InvocationsBuildSpanTreesAndMetrics) {
   chain(3);
   while (done < 3) rt.run_for(secs(1));
 
-  // Metrics agree with the worker's own counters.
-  auto snap = w.metrics().snapshot();
-  EXPECT_EQ(snap.counters.at("worker.invocations"), 3u);
-  EXPECT_EQ(snap.counters.at("worker.completed"), 3u);
-  EXPECT_EQ(snap.counters.at("worker.cold_starts"), 1u);
-  EXPECT_EQ(snap.counters.at("worker.warm_starts"), 2u);
-  EXPECT_EQ(snap.gauges.at("worker.inflight"), 0);
-  EXPECT_EQ(snap.log_histograms.at("worker.overhead_ms").count, 3u);
+  // The worker's counters agree with the three completions.
+  EXPECT_EQ(w.completed(), 3u);
+  EXPECT_EQ(w.cold_starts(), 1u);
+  EXPECT_EQ(w.warm_starts(), 2u);
+  EXPECT_EQ(w.status().running, 0u);
 
   // Serial warm invocations never queue, so each one's overhead is exactly
   // its 13 stage durations: the flight stage records sum to the overhead.

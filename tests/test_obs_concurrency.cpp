@@ -1,10 +1,12 @@
-// Concurrency hammer for the observability layer: 8 threads concurrently
-// pounding the metrics registry. Under -DILU_SANITIZE=thread this doubles as
-// the TSan gate for obs/ (with test_flight_recorder for the rings); without
-// a sanitizer it still validates that no update is lost.
+// Concurrency hammer for the observability layer: 8 threads observing into
+// one shared LogHistogram, the way exp/live_load's producer threads share
+// `lateness_ms`. Under -DILU_SANITIZE=thread this doubles as the TSan gate
+// for obs/metrics (with test_flight_recorder for the rings); without a
+// sanitizer it still validates that no observation is lost.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -16,40 +18,36 @@ namespace {
 constexpr int kThreads = 8;
 constexpr int kIters = 20000;
 
+/// Whole microseconds, like a producer's submission lateness.
+std::int64_t lateness_us(int thread, int i) { return (i % 40) * 7 + thread; }
+
 TEST(ObsConcurrency, LoggerAndMetricsUnderContention) {
-  MetricsRegistry reg;
-  // Wire-time registration, hot-path updates through cached pointers — the
-  // same discipline the worker uses.
-  Counter* ops = reg.counter("hammer.ops");
-  Gauge* level = reg.gauge("hammer.level");
-  LogHistogram* lat = reg.log_histogram("hammer.lat_ms");
+  LogHistogram lateness_ms;
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int w = 0; w < kThreads; ++w) {
-    threads.emplace_back([&, w] {
+    threads.emplace_back([&lateness_ms, w] {
       for (int i = 0; i < kIters; ++i) {
-        ops->inc();
-        level->add(1);
-        lat->observe(static_cast<double>(i % 40));
-        level->sub(1);
-        // Concurrent registration of the same names must converge on the
-        // same instruments (registry mutex path).
-        if (i % 1000 == 0) {
-          EXPECT_EQ(reg.counter("hammer.ops"), ops);
-        }
-        // Concurrent snapshot while other threads keep writing.
-        if (w == 0 && i % 5000 == 0) (void)reg.snapshot();
+        lateness_ms.observe(static_cast<double>(lateness_us(w, i)) / 1000.0);
+        // Concurrent reads while the other threads keep writing.
+        if (w == 0 && i % 5000 == 0) (void)lateness_ms.percentile(0.99);
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  constexpr std::uint64_t kTotal =
-      std::uint64_t(kThreads) * std::uint64_t(kIters);
-  EXPECT_EQ(ops->value(), kTotal);
-  EXPECT_EQ(level->value(), 0);
-  EXPECT_EQ(lat->count(), kTotal);
+  std::int64_t total_us = 0;
+  for (int w = 0; w < kThreads; ++w) {
+    for (int i = 0; i < kIters; ++i) total_us += lateness_us(w, i);
+  }
+  EXPECT_EQ(lateness_ms.count(),
+            std::uint64_t(kThreads) * std::uint64_t(kIters));
+  // Sums are kept in micro-units of the observed value (ns for ms), so a
+  // whole-µs sum reads back exactly.
+  EXPECT_EQ(lateness_ms.sum(), static_cast<double>(total_us * 1000) / 1e6);
+  EXPECT_EQ(lateness_ms.observed_max(),
+            static_cast<double>(lateness_us(kThreads - 1, 39)) / 1000.0);
 }
 
 }  // namespace

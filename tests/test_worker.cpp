@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "runtime/sim_runtime.hpp"
 #include "trace/function_profile.hpp"
 
@@ -212,6 +214,72 @@ TEST_F(WorkerTest, CreateFailureExhaustsRetriesAndFails) {
   EXPECT_TRUE(failed);
   EXPECT_EQ(w.failures(), 1u);
   w.shutdown();
+}
+
+/// A 256 MB worker whose every container create fails, with no retries:
+/// one 256 MB container fills it, so a second function's cold start parks
+/// on memory until the first create fails and frees the reservation.
+class FailedCreateWakesParked : public ::testing::Test {
+ protected:
+  static WorkerConfig config() {
+    WorkerConfig cfg = base_config();
+    cfg.memory_mb = 256;
+    cfg.faults.create_failure_prob = 1.0;
+    cfg.create_retries = 0;
+    return cfg;
+  }
+
+  FailedCreateWakesParked() : w_(rt_, config()) {
+    big_ = w_.register_function(FunctionProfile{
+        .name = "big", .mem_mb = 256, .warm_time = msecs(10),
+        .init_time = msecs(100)});
+    small_ = w_.register_function(FunctionProfile{
+        .name = "small", .mem_mb = 128, .warm_time = msecs(10),
+        .init_time = msecs(100)});
+    w_.start();
+  }
+  ~FailedCreateWakesParked() override { w_.shutdown(); }
+
+  /// Invoke the small function 1 ms from now, after the big one holds all
+  /// of the memory, and run 600 s of virtual time.
+  void invoke_small_then_run() {
+    rt_.schedule(msecs(1), [this] {
+      w_.invoke(small_, [this](const InvokeResult& r) { small_result_ = r; });
+    });
+    rt_.run_for(secs(600));
+  }
+
+  void expect_small_failed_cleanly() {
+    ASSERT_TRUE(small_result_.has_value())
+        << "the parked invocation was stranded after the failed create";
+    EXPECT_FALSE(small_result_->success);
+    EXPECT_EQ(w_.status().running, 0u);
+    EXPECT_EQ(w_.status().queue_len, 0u);
+  }
+
+  SimRuntime rt_;
+  Worker w_;
+  FunctionId big_ = 0;
+  FunctionId small_ = 0;
+  std::optional<InvokeResult> small_result_;
+};
+
+TEST_F(FailedCreateWakesParked, AfterAFailedColdStart) {
+  bool big_failed = false;
+  w_.invoke(big_, [&](const InvokeResult& r) { big_failed = !r.success; });
+  invoke_small_then_run();
+  EXPECT_TRUE(big_failed);
+  expect_small_failed_cleanly();
+  EXPECT_EQ(w_.failures(), 2u);
+}
+
+TEST_F(FailedCreateWakesParked, AfterAFailedPrewarm) {
+  std::optional<bool> prewarmed;
+  w_.prewarm(big_, [&](bool ok) { prewarmed = ok; });
+  invoke_small_then_run();
+  EXPECT_EQ(prewarmed, std::optional<bool>(false));
+  expect_small_failed_cleanly();
+  EXPECT_EQ(w_.failures(), 1u) << "a failed prewarm is not an invocation";
 }
 
 TEST_F(WorkerTest, BypassShortFunctions) {

@@ -443,116 +443,6 @@ void check_const_ref_capture(const Tokens& ts, const std::string& rel,
 }
 
 // ---------------------------------------------------------------------------
-// registry-lookup-hotpath
-// ---------------------------------------------------------------------------
-
-/// The obs layer owns the registry (its own helpers may resolve by name),
-/// and experiment drivers wire fresh panels per sweep point inside job
-/// lambdas, by design.
-constexpr std::string_view kRegistryLookupExempt[] = {"obs/", "exp/"};
-
-bool is_registry_lookup_name(std::string_view id) {
-  return id == "counter" || id == "gauge" || id == "histogram" ||
-         id == "log_histogram";
-}
-
-/// Collect [first, last] token-index ranges of lambda bodies. Reuses the
-/// const-ref-capture introducer logic: `[`...`]` followed by `(` or `{`,
-/// excluding attributes and subscripts; then the body is the brace block
-/// after the (optional) parameter list and specifiers.
-void collect_lambda_bodies(
-    const Tokens& ts,
-    std::vector<std::pair<std::size_t, std::size_t>>& bodies) {
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (!is_punct(ts[i], "[")) continue;
-    if (i + 1 < ts.size() && is_punct(ts[i + 1], "[")) continue;
-    bool after_return = i > 0 && is_id(ts[i - 1], "return");
-    if (!after_return && i > 0 &&
-        (ts[i - 1].kind == Tok::Identifier || is_punct(ts[i - 1], "]") ||
-         is_punct(ts[i - 1], ")"))) {
-      continue;  // subscript, not an introducer
-    }
-    int depth = 0;
-    std::size_t close = 0;
-    for (std::size_t j = i; j < ts.size(); ++j) {
-      if (is_punct(ts[j], "[")) {
-        ++depth;
-      } else if (is_punct(ts[j], "]")) {
-        if (--depth == 0) {
-          close = j;
-          break;
-        }
-      } else if (is_punct(ts[j], ";")) {
-        break;
-      }
-    }
-    if (close == 0 || close + 1 >= ts.size()) continue;
-    std::size_t j = close + 1;
-    if (is_punct(ts[j], "(")) {
-      int pd = 0;
-      for (; j < ts.size(); ++j) {
-        if (is_punct(ts[j], "(")) {
-          ++pd;
-        } else if (is_punct(ts[j], ")")) {
-          if (--pd == 0) {
-            ++j;
-            break;
-          }
-        }
-      }
-    } else if (!is_punct(ts[j], "{")) {
-      continue;  // not a lambda after all
-    }
-    // Skip specifiers / trailing return type up to the body brace.
-    std::size_t limit = std::min(ts.size(), j + 64);
-    while (j < limit && !is_punct(ts[j], "{") && !is_punct(ts[j], ";")) ++j;
-    if (j >= limit || !is_punct(ts[j], "{")) continue;
-    int bd = 0;
-    std::size_t body_open = j, body_close = 0;
-    for (; j < ts.size(); ++j) {
-      if (is_punct(ts[j], "{")) {
-        ++bd;
-      } else if (is_punct(ts[j], "}")) {
-        if (--bd == 0) {
-          body_close = j;
-          break;
-        }
-      }
-    }
-    if (body_close != 0) bodies.emplace_back(body_open, body_close);
-  }
-}
-
-void check_registry_lookup_hotpath(const Tokens& ts, const std::string& rel,
-                                   std::vector<Finding>& out) {
-  if (in_any(rel, kRegistryLookupExempt)) return;
-  std::vector<std::pair<std::size_t, std::size_t>> bodies;
-  collect_lambda_bodies(ts, bodies);
-  if (bodies.empty()) return;
-  auto in_lambda = [&](std::size_t i) {
-    for (const auto& [b, e] : bodies) {
-      if (i > b && i < e) return true;
-    }
-    return false;
-  };
-  for (std::size_t i = 1; i + 2 < ts.size(); ++i) {
-    if (ts[i].kind != Tok::Identifier ||
-        !is_registry_lookup_name(ts[i].text)) {
-      continue;
-    }
-    if (!(is_punct(ts[i - 1], ".") || is_punct(ts[i - 1], "->"))) continue;
-    if (!is_punct(ts[i + 1], "(") || ts[i + 2].kind != Tok::String) continue;
-    if (!in_lambda(i)) continue;
-    out.push_back({rel, ts[i].line, "registry-lookup-hotpath",
-                   "MetricsRegistry::" + std::string(ts[i].text) +
-                       "(\"name\") inside a lambda: name lookup takes the "
-                       "registry mutex on an event callback — resolve the "
-                       "instrument once at wiring time and capture the "
-                       "pointer"});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Directives (suppressions + pragmas)
 // ---------------------------------------------------------------------------
 
@@ -701,10 +591,6 @@ const std::vector<CheckInfo>& checks() {
        "no by-reference lambda captures that escape the scope — returned, "
        "passed to schedule/post/send/defer, or stored via "
        "push_back/emplace(_back) — outside exp/"},
-      {"registry-lookup-hotpath",
-       "no MetricsRegistry::counter/gauge/histogram/log_histogram "
-       "name lookups inside lambda bodies (event callbacks) — resolve "
-       "instruments at wiring time; exempt obs/, exp/"},
       {"lock-order",
        "no two locks acquired in both orders anywhere in src/ (cycle "
        "detection over the whole-repo lock acquisition graph, through "
@@ -717,8 +603,8 @@ const std::vector<CheckInfo>& checks() {
        "findings"},
       {"blocking-under-lock",
        "no allocation (new/make_unique/make_shared), container growth, "
-       "I/O, or MetricsRegistry name lookup while a lock is held; exempt "
-       "obs/, exp/, util/ (locks there exist to serialize that work)"},
+       "or I/O while a lock is held; exempt obs/, exp/, util/ (locks "
+       "there exist to serialize that work)"},
       {"include-layering",
        "project includes must follow util → common → obs/metrics → "
        "trace/runtime → containers/keepalive/queueing → core/lb/baseline "
@@ -729,7 +615,7 @@ const std::vector<CheckInfo>& checks() {
 
 namespace {
 
-/// The per-file token checks: the seven from ilu-lint v1.
+/// The six per-file token checks.
 void run_per_file_checks(const LexResult& lr, const FileInput& in,
                          std::vector<Finding>& raw) {
   const Tokens& ts = lr.tokens;
@@ -745,7 +631,6 @@ void run_per_file_checks(const LexResult& lr, const FileInput& in,
   check_raw_thread(ts, in.rel_path, raw);
   check_std_function_hotpath(ts, in.rel_path, raw);
   check_const_ref_capture(ts, in.rel_path, raw);
-  check_registry_lookup_hotpath(ts, in.rel_path, raw);
 }
 
 }  // namespace

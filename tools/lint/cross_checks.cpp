@@ -285,10 +285,8 @@ void check_blocking(const RepoModel& m, std::vector<Finding>& out) {
           why = "`" + op.what + "` allocates";
         } else if (op.kind == "container-growth") {
           why = "`" + op.what + "(...)` may grow/rehash its container";
-        } else if (op.kind == "io") {
-          why = "I/O (`" + op.what + "`)";
         } else {
-          why = "a MetricsRegistry name lookup (`" + op.what + "`)";
+          why = "I/O (`" + op.what + "`)";
         }
         out.push_back(
             {f.rel_path, op.line, "blocking-under-lock",

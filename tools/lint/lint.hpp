@@ -40,13 +40,6 @@
 ///                         push_back/emplace_back/emplace/push. Exempt:
 ///                         exp/ (the sweep machinery joins its ref-capturing
 ///                         jobs before the scope exits, by design).
-///   registry-lookup-hotpath  MetricsRegistry::counter/gauge/histogram/
-///                         log_histogram called with a string-literal name
-///                         inside a lambda body: event callbacks must use
-///                         instrument pointers resolved at wiring time, not
-///                         take the registry mutex per event. Exempt: obs/
-///                         (the registry's own layer), exp/ (sweep jobs wire
-///                         fresh panels per run).
 ///
 /// Whole-repo checks (cross-TU; run over every staged file at once, so
 /// `--file` mode sees only single-TU facts while `--root` sees the full
@@ -56,9 +49,8 @@
 ///   atomics-discipline    atomic ops confined to runtime/, obs/flight.*,
 ///                         util/dcheck.*, or files with an atomics-floor
 ///                         pragma; explicit memory_order below the floor.
-///   blocking-under-lock   allocation / container growth / I/O / registry
-///                         lookup while a lock is held (exempt obs/, exp/,
-///                         util/).
+///   blocking-under-lock   allocation / container growth / I/O while a
+///                         lock is held (exempt obs/, exp/, util/).
 ///   include-layering      project includes must follow the layer DAG
 ///                         util → common → obs/metrics → trace/runtime →
 ///                         containers/keepalive/queueing → core/lb/baseline

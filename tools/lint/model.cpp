@@ -57,11 +57,6 @@ bool is_io_callee(std::string_view id) {
          id == "getline" || id == "fsync";
 }
 
-bool is_registry_lookup(std::string_view id) {
-  return id == "counter" || id == "gauge" || id == "histogram" ||
-         id == "log_histogram";
-}
-
 /// Matching `(` index for the `)` at ts[i], scanning backward over balanced
 /// (), [], {}. Returns SIZE_MAX when unbalanced.
 std::size_t match_back(const Tokens& ts, std::size_t i) {
@@ -616,10 +611,6 @@ class Extractor {
         std_qualified(ts_, i)) {
       add("io");
       return;
-    }
-    if (is_registry_lookup(id) && access && called && i + 2 < ts_.size() &&
-        ts_[i + 2].kind == Tok::String) {
-      add("registry-lookup");
     }
   }
 

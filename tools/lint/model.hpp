@@ -44,11 +44,11 @@ struct CallSite {
 };
 
 /// A lexically-detectable blocking operation (allocation, container growth,
-/// I/O, metrics-registry name lookup) inside a function body.
+/// I/O) inside a function body.
 struct BlockingOp {
   std::size_t tok = 0;
   int line = 0;
-  std::string kind;  // "allocation" | "container-growth" | "io" | "registry-lookup"
+  std::string kind;  // "allocation" | "container-growth" | "io"
   std::string what;  // the operator or callee, e.g. "new", "push_back"
 };
 
