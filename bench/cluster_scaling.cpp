@@ -110,9 +110,9 @@ Trace sharded_workload() {
   return make_synthetic_trace(specs, mins(2), 31);
 }
 
-/// A shorter cut of the same traffic shape for the placement matrix: the
-/// matrix exists to prove byte-identical results under every placement x
-/// shard count combination, and a short trace proves that just as well.
+/// A shorter cut of the same traffic shape for the equivalence matrix: the
+/// matrix exists to prove byte-identical results at every shard count, and
+/// a short trace proves that just as well.
 Trace matrix_workload() {
   std::vector<SyntheticFunctionSpec> specs;
   Rng rng(23);
@@ -136,14 +136,13 @@ struct ShardedOut {
   std::string fingerprint;  // report JSON: the equivalence witness
 };
 
-ShardedOut run_sharded(std::size_t nshards, Placement place, EventView view,
+ShardedOut run_sharded(std::size_t nshards, EventView view,
                        const std::vector<FunctionProfile>& functions) {
   ClusterConfig cfg;
   cfg.num_workers = 32;
   cfg.lb = LbPolicy::ChBl;
   cfg.worker.cores = 8;
   cfg.worker.memory_mb = 8 * 1024;
-  cfg.placement = place;
   // A 1 ms RPC floor (datacenter-across-racks rather than same-rack) gives
   // 5x the default lookahead: windows are 5x wider, so each shard executes
   // 5x more events between barriers. Lookahead is *the* scaling lever of
@@ -223,8 +222,6 @@ int main(int argc, char** argv) {
       "locality (more forwarding, more cold starts) for balance.\n");
 
   std::vector<std::size_t> shard_counts = {1, 2, 4, 8};
-  std::vector<Placement> placements = {Placement::kRoundRobin,
-                                       Placement::kLocality};
   std::string arena_path;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") == 0) {
@@ -233,25 +230,16 @@ int main(int argc, char** argv) {
                                         : std::vector<std::size_t>{1, n};
     } else if (std::strcmp(argv[i], "--arena") == 0) {
       arena_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--placement") == 0) {
-      const std::string v = argv[i + 1];
-      if (v == "roundrobin") placements = {Placement::kRoundRobin};
-      else if (v == "locality") placements = {Placement::kLocality};
-      else {
-        std::fprintf(stderr,
-                     "error: --placement must be roundrobin|locality\n");
-        return 1;
-      }
     }
   }
 
   banner("Time-parallel simulation — 32 workers, conservative windows");
-  const char* kHeader = "%8s %-11s %10s %8s %9s %9s %9s %6s\n";
-  std::printf(kHeader, "shards", "placement", "wall s", "speedup", "windows",
-              "messages", "completed", "equal");
+  const char* kHeader = "%8s %10s %8s %9s %9s %9s %6s\n";
+  std::printf(kHeader, "shards", "wall s", "speedup", "windows", "messages",
+              "completed", "equal");
   CsvWriter scsv(results_dir() + "/cluster_sharded.csv");
-  scsv.row("trace", "shards", "placement", "wall_s", "speedup", "windows",
-           "messages", "completed", "equivalent");
+  scsv.row("trace", "shards", "wall_s", "speedup", "windows", "messages",
+           "completed", "equivalent");
 
   Trace synth;
   std::unique_ptr<ArenaFile> file;
@@ -275,48 +263,45 @@ int main(int argc, char** argv) {
   }
 
   auto print_row = [&scsv](const char* trace, std::size_t s,
-                           const char* place, const ShardedOut& o,
-                           double baseline_wall, bool equal) {
+                           const ShardedOut& o, double baseline_wall,
+                           bool equal) {
     const double speedup = o.wall_s > 0.0 ? baseline_wall / o.wall_s : 0.0;
-    std::printf("%8zu %-11s %10.3f %8.2f %9llu %9llu %9llu %6s\n", s, place,
-                o.wall_s, speedup, (unsigned long long)o.windows,
+    std::printf("%8zu %10.3f %8.2f %9llu %9llu %9llu %6s\n", s, o.wall_s,
+                speedup, (unsigned long long)o.windows,
                 (unsigned long long)o.messages,
                 (unsigned long long)o.completed, equal ? "yes" : "NO");
-    scsv.row(trace, s, place, o.wall_s, speedup, o.windows, o.messages,
-             o.completed, equal ? 1 : 0);
+    scsv.row(trace, s, o.wall_s, speedup, o.windows, o.messages, o.completed,
+             equal ? 1 : 0);
   };
 
   // Headline scaling sweep: conservative windows on the full trace (the
   // configuration whose wall time the speedup story is about).
-  auto base = run_sharded(1, Placement::kRoundRobin, view, *functions);
+  auto base = run_sharded(1, view, *functions);
   bool all_equal = true;
-  print_row("full", 1, "-", base, base.wall_s, true);
+  print_row("full", 1, base, base.wall_s, true);
   for (std::size_t s : shard_counts) {
     if (s == 1) continue;
-    auto o = run_sharded(s, Placement::kRoundRobin, view, *functions);
+    auto o = run_sharded(s, view, *functions);
     const bool equal = o.fingerprint == base.fingerprint;
     all_equal = all_equal && equal;
-    print_row("full", s, "roundrobin", o, base.wall_s, equal);
+    print_row("full", s, o, base.wall_s, equal);
   }
 
-  // Placement equivalence matrix on the short trace: every combination must
+  // Equivalence matrix on the short trace: every shard count must
   // reproduce the serial report byte for byte.
-  banner("Placement matrix — byte-identical reports");
-  std::printf(kHeader, "shards", "placement", "wall s", "speedup", "windows",
-              "messages", "completed", "equal");
+  banner("Equivalence matrix — byte-identical reports");
+  std::printf(kHeader, "shards", "wall s", "speedup", "windows", "messages",
+              "completed", "equal");
   Trace matrix = matrix_workload();
   EventView mview(matrix);
-  auto mbase =
-      run_sharded(1, Placement::kRoundRobin, mview, matrix.functions);
-  print_row("matrix", 1, "-", mbase, mbase.wall_s, true);
-  for (Placement place : placements) {
-    for (std::size_t s : shard_counts) {
-      if (s == 1) continue;  // covered by the serial reference
-      auto o = run_sharded(s, place, mview, matrix.functions);
-      const bool equal = o.fingerprint == mbase.fingerprint;
-      all_equal = all_equal && equal;
-      print_row("matrix", s, to_string(place), o, mbase.wall_s, equal);
-    }
+  auto mbase = run_sharded(1, mview, matrix.functions);
+  print_row("matrix", 1, mbase, mbase.wall_s, true);
+  for (std::size_t s : shard_counts) {
+    if (s == 1) continue;  // covered by the serial reference
+    auto o = run_sharded(s, mview, matrix.functions);
+    const bool equal = o.fingerprint == mbase.fingerprint;
+    all_equal = all_equal && equal;
+    print_row("matrix", s, o, mbase.wall_s, equal);
   }
   if (!all_equal) {
     std::printf("\nERROR: sharded runs diverged from the serial report — "
@@ -325,7 +310,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nEvery placement and shard count produced a byte-identical report;\n"
+      "\nEvery shard count produced a byte-identical report;\n"
       "speedups only materialize with as many free cores as shards.\n");
   return 0;
 }

@@ -10,7 +10,8 @@
 // --trace and bench/cluster_scaling --arena); `info` integrity-checks such
 // a file and prints its statistics from the mmap'd keys in O(functions)
 // memory; `replay` runs it through a simulated worker and can dump the
-// flight recorder's binary event rings; `tab1` recomputes the Table 1
+// flight recorder's binary event rings (to the same file if an ILU_DCHECK
+// aborts the replay first); `tab1` recomputes the Table 1
 // per-component latency view from the worker stage records in such a dump;
 // `flightdump` decodes a binary flight dump (from `replay --flight-out`,
 // bench/tab1_components or a crash) into a per-ring summary and optionally
@@ -117,8 +118,10 @@ int cmd_replay(int argc, char** argv) {
     }
   }
   // Drop whatever earlier commands in this process recorded, so the dump
-  // covers exactly this replay.
+  // covers exactly this replay — and lands in the same file if a failed
+  // ILU_DCHECK aborts the replay before it finishes.
   flight::Recorder::instance().clear();
+  if (!flight_out.empty()) flight::Recorder::install_crash_dump(flight_out);
 
   ArenaFile arena(path);
   arena.verify();

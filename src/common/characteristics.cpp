@@ -34,13 +34,11 @@ void CharacteristicsMap::on_arrival(FunctionId fn, TimePoint now) {
 
 void CharacteristicsMap::record_warm(FunctionId fn, Duration exec) {
   FnChars& c = at(fn);
-  ++c.warm;
   c.warm_ms.add(to_ms(exec));
 }
 
 void CharacteristicsMap::record_cold(FunctionId fn, Duration exec) {
   FnChars& c = at(fn);
-  ++c.cold;
   c.cold_ms.add(to_ms(exec));
 }
 
@@ -65,16 +63,6 @@ double CharacteristicsMap::mean_iat_s(FunctionId fn) const {
 std::uint64_t CharacteristicsMap::arrivals(FunctionId fn) const {
   const FnChars* c = find(fn);
   return c == nullptr ? 0 : c->arrivals;
-}
-
-std::uint64_t CharacteristicsMap::warm_count(FunctionId fn) const {
-  const FnChars* c = find(fn);
-  return c == nullptr ? 0 : c->warm;
-}
-
-std::uint64_t CharacteristicsMap::cold_count(FunctionId fn) const {
-  const FnChars* c = find(fn);
-  return c == nullptr ? 0 : c->cold;
 }
 
 }  // namespace ilu

@@ -39,10 +39,9 @@ class CharacteristicsMap {
   double mean_iat_s(FunctionId fn) const;
 
   std::uint64_t arrivals(FunctionId fn) const;
-  std::uint64_t warm_count(FunctionId fn) const;
-  std::uint64_t cold_count(FunctionId fn) const;
 
   /// Number of functions with an entry (those seen so far).
+  // ilu-lint: allow(test-only-api) - test hook: entries exist only where a function ran
   std::size_t tracked() const { return entries_.size(); }
 
  private:
@@ -54,8 +53,6 @@ class CharacteristicsMap {
     Welford iat_s;
     TimePoint last_arrival{-1};
     std::uint64_t arrivals = 0;
-    std::uint64_t warm = 0;
-    std::uint64_t cold = 0;
   };
   static constexpr std::uint32_t kNoEntry = UINT32_MAX;
 

@@ -55,7 +55,6 @@ Duration SimContainerBackend::start_create(const FunctionProfile& profile,
   if (profile_.snapshot_cold_starts && snapshotted_.count(profile.name) > 0) {
     // Restore from a previous snapshot of this function's container.
     d = profile_.snapshot_restore.sample(rng_);
-    ++snapshot_restores_;
   } else {
     d = profile_.create.sample(rng_) + profile_.agent_start.sample(rng_);
   }

@@ -98,8 +98,6 @@ class SimContainerBackend {
                  [done = std::forward<F>(done)]() mutable { done(true); });
   }
 
-  std::uint64_t snapshot_restores() const { return snapshot_restores_; }
-
  private:
   /// Draw a create's delay and outcome (`ok`).
   Duration start_create(const FunctionProfile& profile, bool& ok);
@@ -111,7 +109,6 @@ class SimContainerBackend {
   BackendFaults faults_;
   /// Successful creates so far; each one's count is its kColdCreate arg.
   std::uint64_t creates_ = 0;
-  std::uint64_t snapshot_restores_ = 0;
   /// Function names whose first container has been created (snapshot
   /// available from then on).
   std::unordered_set<std::string> snapshotted_;

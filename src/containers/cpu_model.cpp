@@ -132,11 +132,4 @@ bool CpuModel::cancel(TaskId id) {
   return true;
 }
 
-Duration CpuModel::estimate(double work_seconds, double weight) const {
-  double w = total_weight_ + weight;
-  double rate = w <= cores_ ? weight : weight * cores_ / w;
-  if (rate <= 0.0) return Duration::zero();
-  return secs(work_seconds / rate);
-}
-
 }  // namespace ilu

@@ -48,10 +48,6 @@ class CpuModel {
 
   double cores() const { return cores_; }
 
-  /// Wall-clock duration the given work would take at current contention if
-  /// conditions froze now (used by queue policies for expectations).
-  Duration estimate(double work_seconds, double weight) const;
-
   /// Observe every demand change (piecewise-constant between events); used
   /// by the EnergyMeter for exact power integration. Takes arguments and is
   /// installed once per model, so it is not a Task candidate.

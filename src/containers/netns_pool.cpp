@@ -38,13 +38,11 @@ void NetnsPool::acquire(AcquireCb cb) {
   std::uint64_t id = next_id_++;
   if (cfg_.enabled && available_ > 0) {
     --available_;
-    ++pooled_serves_;
     if (available_ < cfg_.low_watermark && !refill_scheduled_) refill();
     cb(id, Duration::zero());
     return;
   }
   // Critical-path creation behind the global lock.
-  ++on_demand_creates_;
   TimePoint done = serialized_create();
   Duration penalty = done - rt_.now();
   cb(id, penalty);

@@ -40,9 +40,8 @@ class NetnsPool {
   /// background refill replaces capacity).
   void release(std::uint64_t netns_id);
 
+  // ilu-lint: allow(test-only-api) - test hook over the shelf count acquire() keeps
   std::size_t available() const { return available_; }
-  std::uint64_t critical_path_creates() const { return on_demand_creates_; }
-  std::uint64_t pooled_serves() const { return pooled_serves_; }
 
  private:
   /// Serialize a creation through the modeled global lock; returns the
@@ -58,8 +57,6 @@ class NetnsPool {
   /// Global-lock busy-until horizon: creations queue behind it.
   TimePoint lock_free_at_{};
   bool refill_scheduled_ = false;
-  std::uint64_t on_demand_creates_ = 0;
-  std::uint64_t pooled_serves_ = 0;
 };
 
 }  // namespace ilu

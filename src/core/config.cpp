@@ -48,39 +48,6 @@ WorkerConfig worker_config_from_json(const JsonValue& v) {
   return cfg;
 }
 
-OpenWhiskConfig openwhisk_config_from_json(const JsonValue& v) {
-  OpenWhiskConfig cfg;
-  cfg.cores = v.number_or("cores", cfg.cores);
-  cfg.memory_mb = static_cast<std::uint64_t>(
-      v.number_or("memory_mb", static_cast<double>(cfg.memory_mb)));
-  cfg.keepalive_policy = v.string_or("keepalive_policy", cfg.keepalive_policy);
-  cfg.keepalive_ttl = mins(v.number_or("ttl_minutes", 10.0));
-  cfg.buffer_capacity = static_cast<std::size_t>(v.number_or(
-      "buffer_capacity", static_cast<double>(cfg.buffer_capacity)));
-  cfg.buffer_timeout = secs(v.number_or("buffer_timeout_s",
-                                        to_sec(cfg.buffer_timeout)));
-  cfg.seed = static_cast<std::uint64_t>(
-      v.number_or("seed", static_cast<double>(cfg.seed)));
-  if (cfg.keepalive_policy != "TTL") make_policy(cfg.keepalive_policy);
-  return cfg;
-}
-
-ClusterConfig cluster_config_from_json(const JsonValue& v) {
-  ClusterConfig cfg;
-  cfg.num_workers = static_cast<std::size_t>(v.number_or(
-      "num_workers", static_cast<double>(cfg.num_workers)));
-  std::string lb = v.string_or("lb", "chbl");
-  if (lb == "chbl") cfg.lb = LbPolicy::ChBl;
-  else if (lb == "rr") cfg.lb = LbPolicy::RoundRobin;
-  else if (lb == "least") cfg.lb = LbPolicy::LeastLoaded;
-  else throw std::invalid_argument("unknown lb policy: " + lb);
-  cfg.chbl.bound_factor = v.number_or("bound_factor", cfg.chbl.bound_factor);
-  if (const JsonValue* w = v.find("worker")) {
-    cfg.worker = worker_config_from_json(*w);
-  }
-  return cfg;
-}
-
 JsonValue worker_config_to_json(const WorkerConfig& cfg) {
   JsonObject o;
   o["name"] = cfg.name;
@@ -102,37 +69,8 @@ JsonValue worker_config_to_json(const WorkerConfig& cfg) {
   return JsonValue(std::move(o));
 }
 
-JsonValue openwhisk_config_to_json(const OpenWhiskConfig& cfg) {
-  JsonObject o;
-  o["cores"] = cfg.cores;
-  o["memory_mb"] = static_cast<double>(cfg.memory_mb);
-  o["keepalive_policy"] = cfg.keepalive_policy;
-  o["ttl_minutes"] = to_sec(cfg.keepalive_ttl) / 60.0;
-  o["buffer_capacity"] = static_cast<double>(cfg.buffer_capacity);
-  o["buffer_timeout_s"] = to_sec(cfg.buffer_timeout);
-  o["seed"] = static_cast<double>(cfg.seed);
-  return JsonValue(std::move(o));
-}
-
-JsonValue cluster_config_to_json(const ClusterConfig& cfg) {
-  JsonObject o;
-  o["num_workers"] = static_cast<double>(cfg.num_workers);
-  switch (cfg.lb) {
-    case LbPolicy::ChBl: o["lb"] = "chbl"; break;
-    case LbPolicy::RoundRobin: o["lb"] = "rr"; break;
-    case LbPolicy::LeastLoaded: o["lb"] = "least"; break;
-  }
-  o["bound_factor"] = cfg.chbl.bound_factor;
-  o["worker"] = worker_config_to_json(cfg.worker);
-  return JsonValue(std::move(o));
-}
-
 WorkerConfig load_worker_config(const std::string& path) {
   return worker_config_from_json(json_parse_file(path));
-}
-
-ClusterConfig load_cluster_config(const std::string& path) {
-  return cluster_config_from_json(json_parse_file(path));
 }
 
 }  // namespace ilu

@@ -2,18 +2,16 @@
 
 #include <string>
 
-#include "baseline/openwhisk.hpp"
 #include "core/worker.hpp"
-#include "lb/cluster.hpp"
 #include "util/json.hpp"
 
-/// JSON configuration loading (§6: "Workers are configured with a json file
+/// Worker JSON configuration (§6: "Workers are configured with a json file
 /// on startup, with the various policy options (such as queuing),
 /// keep-alive, timeouts, ..."). Every knob that the benchmark harness
 /// sweeps is exposed; unknown keys are ignored so configs stay forward
 /// compatible, and all values default to the in-code defaults.
 ///
-/// Worker schema (all optional):
+/// Schema (all optional):
 ///   { "name": "worker0", "cores": 48, "memory_mb": 49152,
 ///     "queue_policy": "EEDF", "keepalive_policy": "GD",
 ///     "concurrency_limit": 96, "dynamic_concurrency": false,
@@ -22,32 +20,18 @@
 ///     "backend": "containerd" | "docker" | "crun" | "null",
 ///     "netns_pool_size": 32, "free_buffer_mb": 2048,
 ///     "sweep_interval_ms": 500, "create_retries": 2, "seed": 42 }
-///
-/// OpenWhisk schema:
-///   { "cores": 48, "memory_mb": 49152, "keepalive_policy": "TTL",
-///     "ttl_minutes": 10, "buffer_capacity": 256,
-///     "buffer_timeout_s": 30, "seed": 7 }
-///
-/// Cluster schema:
-///   { "num_workers": 4, "lb": "chbl" | "rr" | "least",
-///     "bound_factor": 2.0, "worker": { ...worker schema... } }
 namespace ilu {
 
-/// Build configs from parsed JSON; throws JsonError / std::invalid_argument
+/// Build a config from parsed JSON; throws JsonError / std::invalid_argument
 /// on type mismatches or unknown enum values.
 WorkerConfig worker_config_from_json(const JsonValue& v);
-OpenWhiskConfig openwhisk_config_from_json(const JsonValue& v);
-ClusterConfig cluster_config_from_json(const JsonValue& v);
 
 /// Serialize back to JSON (the sweepable knobs; latency models keep their
 /// defaults and are not round-tripped).
 JsonValue worker_config_to_json(const WorkerConfig& cfg);
-JsonValue openwhisk_config_to_json(const OpenWhiskConfig& cfg);
-JsonValue cluster_config_to_json(const ClusterConfig& cfg);
 
-/// Convenience file loaders.
+/// Convenience file loader.
 WorkerConfig load_worker_config(const std::string& path);
-ClusterConfig load_cluster_config(const std::string& path);
 
 /// Resolve a backend latency profile by name; throws std::invalid_argument.
 BackendLatencyProfile backend_profile_by_name(const std::string& name);

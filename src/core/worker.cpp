@@ -256,9 +256,15 @@ void Worker::cold_start(PendingHandle p) {
   ContainerHandle c =
       pool_.add_container(fn, functions_[fn], rt_.now(), &sync_evictions);
   if (!c.valid()) {
+    --running_;
+    if (functions_[fn].mem_mb > cfg_.memory_mb) {
+      // Larger than the worker: no release can ever make room.
+      fail(p);
+      pump();
+      return;
+    }
     // Memory exhausted by busy containers: park until something frees.
     flight::record(rt_.now(), flight::Ev::kMemoryPark, fn);
-    --running_;
     waiting_memory_.push_back(p);
     return;
   }
@@ -440,6 +446,9 @@ void Worker::prewarm(FunctionId fn, std::function<void(bool)> cb) {
         flight::record(rt_.now(), flight::Ev::kPrewarm, fn);
         ++prewarms_;
         if (cb) cb(true);
+        // An invocation may have parked behind this create's reservation:
+        // the idle container is now evictable (or is the one it wants).
+        on_memory_released();
       });
     });
   });

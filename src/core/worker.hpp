@@ -159,6 +159,7 @@ class Worker {
   CpuModel& cpu() { return cpu_; }
   ContainerPool& pool() { return pool_; }
   NetnsPool& netns() { return netns_; }
+  // ilu-lint: allow(test-only-api) - test hook over the per-function stats queue policies read
   const CharacteristicsMap& characteristics() const { return chars_; }
   const WorkerConfig& config() const { return cfg_; }
   Runtime& runtime() { return rt_; }

@@ -140,6 +140,7 @@ class GreedyDualPolicy final : public KeepAlivePolicy {
   void on_evict(const CacheEntry& e) override {
     if (e.priority > l_) l_ = e.priority;
   }
+  // ilu-lint: allow(test-only-api) - test hook over GD's clock L, which every insert reads
   double aging_factor() const { return l_; }
 
  private:

@@ -92,6 +92,8 @@ void ContainerPool::evict_one(ContainerHandle h, bool expired) {
 }
 
 bool ContainerPool::make_room(std::uint32_t mem_mb) {
+  // Larger than the whole pool: no eviction can make it fit.
+  if (mem_mb > capacity_mb_) return false;
   while (used_mb_ + mem_mb > capacity_mb_ && !rank_.empty()) {
     evict_one(*rank_.peek_min(), /*expired=*/false);
   }

@@ -102,12 +102,11 @@ class ContainerPool {
   /// rather than caching across pool calls.
   Container& get(ContainerHandle h) { return store_.get(h); }
   const Container& get(ContainerHandle h) const { return store_.get(h); }
-  /// True while `h` refers to a live (not yet removed/evicted) container.
-  bool alive(ContainerHandle h) const { return store_.contains(h); }
 
   bool has_idle(FunctionId fn) const {
     return fn < idle_head_.size() && idle_head_[fn].valid();
   }
+  // ilu-lint: allow(test-only-api) - test hook over the eviction-rank index's size
   std::size_t idle_count() const { return rank_.size(); }
   std::size_t total_count() const { return store_.size(); }
   std::uint64_t used_mb() const { return used_mb_; }
@@ -134,6 +133,7 @@ class ContainerPool {
   /// O(n) structural invariant check for tests: memory accounting, idle
   /// list/rank index consistency, intrusive link integrity. Returns false
   /// and fills `why` (when non-null) on the first violation.
+  // ilu-lint: allow(test-only-api) - invariant check over state the pool keeps anyway
   bool validate(std::string* why = nullptr) const;
 
  private:

@@ -27,12 +27,6 @@ void ConsistentHashRing::add_worker(std::size_t worker_index) {
   ++workers_;
 }
 
-void ConsistentHashRing::remove_worker(std::size_t worker_index) {
-  std::erase_if(ring_,
-                [&](const Point& p) { return p.worker == worker_index; });
-  if (workers_ > 0) --workers_;
-}
-
 ChblBalancer::ChblBalancer(std::size_t num_workers)
     : ChblBalancer(num_workers, Config{}) {}
 

@@ -25,7 +25,6 @@ class ConsistentHashRing {
       : vnodes_(vnodes_per_worker) {}
 
   void add_worker(std::size_t worker_index);
-  void remove_worker(std::size_t worker_index);
   std::size_t num_workers() const { return workers_; }
 
   /// Where `key` lands on the ring. FNV-1a alone clusters similar short
@@ -38,8 +37,7 @@ class ConsistentHashRing {
   /// The ring, ascending by point, one entry per distinct point (the first
   /// worker to claim a point keeps it). A key's candidate workers are the
   /// distinct workers met walking clockwise from the first point at or
-  /// after hash_key(key), wrapping once. lb/placement.cpp reads it to group
-  /// ring-adjacent workers onto the same shard.
+  /// after hash_key(key), wrapping once; ChblBalancer::pick walks it.
   const std::vector<Point>& points() const { return ring_; }
 
  private:

@@ -34,17 +34,13 @@ Cluster::Cluster(ShardedRuntime& srt, ClusterConfig cfg)
 
 void Cluster::build_workers() {
   const std::size_t num_shards = srt_ ? srt_->shards() : 1;
-  // Worker → shard map per the configured placement policy (identity on
-  // the serial path). Placement only re-partitions execution across
-  // threads; with kLocality, CH-BL ring neighbours — the workers most
-  // likely to absorb each other's forwarded invocations — share a shard.
-  const std::vector<std::size_t> shard_of = assign_shards(
-      cfg_.placement, cfg_.num_workers, num_shards, cfg_.chbl.vnodes_per_worker);
   for (std::size_t i = 0; i < cfg_.num_workers; ++i) {
     WorkerConfig wc = cfg_.worker;
     wc.name = "worker" + std::to_string(i);
     wc.seed = cfg_.worker.seed + i * 7919;
-    const std::size_t shard = shard_of[i];
+    // Round-robin striping; the shard map only re-partitions execution
+    // across threads, never the simulation's results (DESIGN §16).
+    const std::size_t shard = i % num_shards;
     Runtime& wrt = srt_ ? static_cast<Runtime&>(srt_->shard(shard)) : rt_;
     worker_shard_.push_back(shard);
     workers_.push_back(std::make_unique<Worker>(wrt, wc, functions_));

@@ -7,7 +7,6 @@
 
 #include "core/worker.hpp"
 #include "lb/chbl.hpp"
-#include "lb/placement.hpp"
 #include "runtime/latency.hpp"
 #include "runtime/sharded_runtime.hpp"
 
@@ -24,14 +23,12 @@
 ///  * single event loop (`Cluster(Runtime&, ...)`): LB and workers all on
 ///    one runtime, RPC hops are plain timers;
 ///  * sharded (`Cluster(ShardedRuntime&, ...)`): the LB and the driver live
-///    on shard 0, worker w lives on the shard cfg.placement assigns it
-///    (lb/placement.hpp: round-robin striping, or CH-BL-ring locality
-///    grouping so workers that forward to each other share a shard), and
-///    every LB→worker / worker→LB hop is a mailbox message. The RPC latency
-///    floor (cfg.rpc.lower_bound(), strictly positive) is the conservative
+///    on shard 0, worker w lives on shard w % N, and every LB→worker /
+///    worker→LB hop is a mailbox message. The RPC latency floor
+///    (cfg.rpc.lower_bound(), strictly positive) is the conservative
 ///    lookahead. With a fixed seed the sharded run is event-for-event
-///    identical to the single-shard run at any shard count, under either
-///    placement: both RPC hop samples are drawn on the LB at route time (so
+///    identical to the single-shard run at any shard count: both RPC hop
+///    samples are drawn on the LB at route time (so
 ///    the balancer RNG's draw order never depends on worker interleaving),
 ///    and messages are keyed by (deliver time, sender id, per-sender
 ///    sequence) — shard-count independent by construction.
@@ -49,11 +46,6 @@ struct ClusterConfig {
   /// plus lognormal jitter; median ≈ 250 µs as in the paper's LB studies.
   LatencyModel rpc =
       LatencyModel::shifted(usecs(200), LatencyModel::lognormal(usecs(50), 0.4));
-  /// Worker→shard placement (sharded ctor only; see lb/placement.hpp).
-  /// kRoundRobin stripes worker w onto shard w % N; kLocality groups CH-BL
-  /// ring neighbours so forwarded invocations tend to stay intra-shard.
-  /// Placement never changes simulation results, only cross-shard traffic.
-  Placement placement = Placement::kRoundRobin;
   std::uint64_t seed = 21;
 };
 
@@ -61,10 +53,8 @@ class Cluster {
  public:
   /// Single-event-loop cluster (the serial path).
   Cluster(Runtime& rt, ClusterConfig cfg);
-  /// Sharded cluster: LB on shard 0, worker w on the shard chosen by
-  /// cfg.placement (round-robin striping or CH-BL locality grouping — see
-  /// lb/placement.hpp; shard_of() reports the result). srt.lookahead() must
-  /// not exceed cfg.rpc.lower_bound().
+  /// Sharded cluster: LB on shard 0, worker w on shard w % srt.shards().
+  /// srt.lookahead() must not exceed cfg.rpc.lower_bound().
   Cluster(ShardedRuntime& srt, ClusterConfig cfg);
 
   /// Workers hold a reference to the function table.
@@ -89,16 +79,11 @@ class Cluster {
 
   std::size_t num_workers() const { return workers_.size(); }
   Worker& worker(std::size_t i) { return *workers_.at(i); }
-  /// Which shard hosts worker i (always 0 on the serial path).
-  std::size_t shard_of(std::size_t i) const { return worker_shard_.at(i); }
 
   /// Invocations routed to each worker (locality / balance metrics).
   const std::vector<std::uint64_t>& routed() const { return routed_; }
   /// Invocations that were not routed to their CH-BL home worker.
   std::uint64_t forwarded() const { return forwarded_; }
-
-  /// The LB's local load view: dispatched-but-not-returned per worker.
-  const std::vector<double>& load_view() const { return lb_view_; }
 
  private:
   void build_workers();
@@ -122,6 +107,7 @@ class Cluster {
   /// reference.
   std::vector<FunctionProfile> functions_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// The shard hosting each worker (all 0 on the serial path).
   std::vector<std::size_t> worker_shard_;
   /// Ring hash of each function's CH-BL key, computed at registration.
   std::vector<std::uint64_t> fn_hashes_;

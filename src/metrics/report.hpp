@@ -46,6 +46,7 @@ class ExperimentReport {
   void add(const InvokeResult& r);
   void add_all(const std::vector<InvokeResult>& results);
 
+  // ilu-lint: allow(test-only-api) - test hook over the all-functions row every format prints
   const FunctionReport& global() const { return global_; }
   /// Per-function rows in FunctionId order (only ids seen).
   std::vector<const FunctionReport*> functions() const;

@@ -255,10 +255,6 @@ void Recorder::install_crash_dump(std::string path) {
   crash_path_storage() = std::move(path);
 }
 
-const std::string& Recorder::crash_dump_path() {
-  return crash_path_storage();
-}
-
 void Recorder::clear() {
   std::lock_guard<std::mutex> lk(set_->mu);
   for (auto& r : set_->rings) r->clear();

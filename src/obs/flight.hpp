@@ -214,8 +214,6 @@ class Recorder {
   /// Arrange for the singleton to dump to `path` when an ILU_DCHECK fails
   /// (hooks util/dcheck.hpp's pre-abort callback). Passing "" uninstalls.
   static void install_crash_dump(std::string path);
-  /// Path installed by install_crash_dump ("" when none).
-  static const std::string& crash_dump_path();
 
   /// Drop all records on all rings (tests / between benchmark phases).
   void clear();

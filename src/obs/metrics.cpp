@@ -1,5 +1,5 @@
 #include "obs/metrics.hpp"
-// ilu-lint: atomics-floor(relaxed) - histogram cells are independent monotone counters; min/max CAS loops tolerate stale views
+// ilu-lint: atomics-floor(relaxed) - histogram cells are independent monotone counters; the max CAS loop tolerates stale views
 
 #include <algorithm>
 #include <cmath>
@@ -9,18 +9,11 @@ namespace ilu {
 
 namespace {
 
-/// Relaxed CAS max/min — lock-free exact extremes; the loop runs only while
+/// Relaxed CAS max — a lock-free exact extreme; the loop runs only while
 /// this observation is actually extending the record.
 void atomic_max(std::atomic<std::int64_t>& a, std::int64_t v) {
   std::int64_t cur = a.load(std::memory_order_relaxed);
   while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<std::int64_t>& a, std::int64_t v) {
-  std::int64_t cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
          !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
 }
@@ -36,11 +29,9 @@ LogHistogram::LogHistogram(double min_value, double max_value,
       buckets_(static_cast<std::size_t>(
                    std::ceil(std::log2(max_ / min_)))
                << sub_bits_),
-      min_micro_(std::numeric_limits<std::int64_t>::max()),
       max_micro_(std::numeric_limits<std::int64_t>::min()) {}
 
-void LogHistogram::update_extremes(std::int64_t micro) {
-  atomic_min(min_micro_, micro);
+void LogHistogram::update_max(std::int64_t micro) {
   atomic_max(max_micro_, micro);
 }
 
@@ -52,12 +43,6 @@ double LogHistogram::sum() const {
 double LogHistogram::mean() const {
   std::uint64_t n = count();
   return n ? sum() / static_cast<double>(n) : 0.0;
-}
-
-double LogHistogram::observed_min() const {
-  if (count() == 0) return 0.0;
-  return static_cast<double>(min_micro_.load(std::memory_order_relaxed)) /
-         1e6;
 }
 
 double LogHistogram::observed_max() const {
@@ -104,11 +89,7 @@ void LogHistogram::merge(const LogHistogram& other) {
                    std::memory_order_relaxed);
   sum_micro_.fetch_add(other.sum_micro_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
-  overflow_count_.fetch_add(
-      other.overflow_count_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
   if (other.count_.load(std::memory_order_relaxed) > 0) {
-    atomic_min(min_micro_, other.min_micro_.load(std::memory_order_relaxed));
     atomic_max(max_micro_, other.max_micro_.load(std::memory_order_relaxed));
   }
 }
@@ -117,9 +98,6 @@ void LogHistogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_micro_.store(0, std::memory_order_relaxed);
-  overflow_count_.store(0, std::memory_order_relaxed);
-  min_micro_.store(std::numeric_limits<std::int64_t>::max(),
-                   std::memory_order_relaxed);
   max_micro_.store(std::numeric_limits<std::int64_t>::min(),
                    std::memory_order_relaxed);
 }

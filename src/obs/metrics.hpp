@@ -29,14 +29,15 @@ namespace ilu {
 ///   octave = bit_width(t) - 1 - 10                 (which power of two)
 ///   sub    = top `subbucket_bits` bits of t below its leading one
 ///
-/// Exact observed min/max are kept via CAS so p0/p100 (and saturated p99s)
-/// are exact, not bucket edges. Values below min_value clamp into bucket 0;
-/// values at or past max_value are tracked as overflow with an exact max
-/// (`saturated()`). Sums and extremes are kept in micro-units rounded to
+/// The exact observed max is kept via CAS so p100 (and saturated p99s) is
+/// exact, not a bucket edge. Values below min_value clamp into bucket 0;
+/// values at or past max_value are counted outside the buckets, and
+/// quantiles landing among them return the exact max. Sums and the max are
+/// kept in micro-units rounded to
 /// nearest, so an observation of a whole number of µs (in ms units) reads
 /// back exactly.
 ///
-/// merge() is a pure integer element-wise add (plus CAS min/max), hence
+/// merge() is a pure integer element-wise add (plus CAS max), hence
 /// commutative and associative: merging per-shard histograms yields the same
 /// result at any shard count, in any order — required by the determinism
 /// contract.
@@ -53,13 +54,10 @@ class LogHistogram {
     const std::int64_t micro = std::llround(x * 1e6);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_micro_.fetch_add(micro, std::memory_order_relaxed);
-    update_extremes(micro);
-    if (x >= max_) {
-      // Overflow lives outside the bucket array so the percentile walk can
-      // tell "past the range" apart from "in the top bucket".
-      overflow_count_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
+    update_max(micro);
+    // Overflow lives outside the bucket array so the percentile walk can
+    // tell "past the range" apart from "in the top bucket".
+    if (x >= max_) return;
     buckets_[index_of(x)].fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -73,14 +71,8 @@ class LogHistogram {
   }
   double sum() const;
   double mean() const;
-  /// Exact observed extremes (0 when empty).
-  double observed_min() const;
+  /// Exact observed maximum (0 when empty).
   double observed_max() const;
-
-  std::uint64_t overflow_count() const {
-    return overflow_count_.load(std::memory_order_relaxed);
-  }
-  bool saturated() const { return overflow_count() > 0; }
 
   double min_value() const { return min_; }
   double max_value() const { return max_; }
@@ -122,7 +114,7 @@ class LogHistogram {
     return i < buckets_.size() ? i : buckets_.size() - 1;
   }
 
-  void update_extremes(std::int64_t micro);
+  void update_max(std::int64_t micro);
 
   double min_;
   double max_;
@@ -130,8 +122,6 @@ class LogHistogram {
   std::vector<std::atomic<std::uint64_t>> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::int64_t> sum_micro_{0};
-  std::atomic<std::uint64_t> overflow_count_{0};
-  std::atomic<std::int64_t> min_micro_;
   std::atomic<std::int64_t> max_micro_;
 };
 

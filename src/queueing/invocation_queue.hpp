@@ -48,13 +48,6 @@ class InvocationQueue {
     return item;
   }
 
-  /// Peek at the head priority (for tests / bypass heuristics).
-  std::optional<double> head_priority() const {
-    const Key* k = items_.peek_key();
-    if (k == nullptr) return std::nullopt;
-    return k->first;
-  }
-
   std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
 

@@ -10,11 +10,6 @@ LatencyModel::LatencyModel(Kind kind, double a, double b)
 
 LatencyModel LatencyModel::zero() { return LatencyModel(Kind::Zero, 0, 0); }
 
-LatencyModel LatencyModel::constant(Duration d) {
-  assert(d >= Duration::zero());
-  return LatencyModel(Kind::Constant, static_cast<double>(d.count()), 0);
-}
-
 LatencyModel LatencyModel::uniform(Duration lo, Duration hi) {
   assert(Duration::zero() <= lo && lo <= hi);
   return LatencyModel(Kind::Uniform, static_cast<double>(lo.count()),
@@ -54,8 +49,6 @@ Duration LatencyModel::sample(Rng& rng) const {
   switch (kind_) {
     case Kind::Zero:
       return Duration::zero();
-    case Kind::Constant:
-      return Duration{static_cast<std::int64_t>(a_)};
     case Kind::Uniform:
       return Duration{static_cast<std::int64_t>(rng.uniform(a_, b_))};
     case Kind::Normal: {
@@ -81,8 +74,6 @@ Duration LatencyModel::mean() const {
   switch (kind_) {
     case Kind::Zero:
       return Duration::zero();
-    case Kind::Constant:
-      return Duration{static_cast<std::int64_t>(a_)};
     case Kind::Uniform:
       return Duration{static_cast<std::int64_t>((a_ + b_) / 2.0)};
     case Kind::Normal:
@@ -109,8 +100,6 @@ Duration LatencyModel::lower_bound() const {
     case Kind::Normal:     // clamped at 0
     case Kind::LogNormal:  // support (0, inf), infimum 0
       return Duration::zero();
-    case Kind::Constant:
-      return Duration{static_cast<std::int64_t>(a_)};
     case Kind::Uniform:
       return Duration{static_cast<std::int64_t>(a_)};
     case Kind::Spiky:

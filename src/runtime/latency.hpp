@@ -16,8 +16,6 @@ class LatencyModel {
  public:
   /// Always 0.
   static LatencyModel zero();
-  /// Always exactly `d`.
-  static LatencyModel constant(Duration d);
   /// Uniform in [lo, hi].
   static LatencyModel uniform(Duration lo, Duration hi);
   /// Normal(mean, sd), clamped at >= 0.
@@ -49,12 +47,12 @@ class LatencyModel {
   LatencyModel() : LatencyModel(zero()) {}
 
  private:
-  enum class Kind { Zero, Constant, Uniform, Normal, LogNormal, Spiky, Shifted };
+  enum class Kind { Zero, Uniform, Normal, LogNormal, Spiky, Shifted };
 
   LatencyModel(Kind kind, double a, double b);
 
   Kind kind_;
-  // Interpretation depends on kind: Constant{a=us}, Uniform{a=lo,b=hi},
+  // Interpretation depends on kind: Uniform{a=lo,b=hi},
   // Normal{a=mean,b=sd}, LogNormal{a=median,b=sigma}, Shifted{a=floor_us}.
   double a_ = 0.0;
   double b_ = 0.0;

@@ -19,9 +19,8 @@
 ///    trivially copyable, so continuation lambdas capture them by value with
 ///    no refcount traffic.
 ///  * **Free-list recycling.** `emplace` after steady state never touches
-///    the allocator: slots are recycled LIFO. `allocations()` counts slot
-///    growth events so tests can assert the steady state really is
-///    allocation-free.
+///    the allocator: slots are recycled LIFO, so `slot_count()` stops
+///    growing and tests can assert the steady state is allocation-free.
 ///  * **Stale-handle detection.** Freeing a slot bumps its generation, so a
 ///    retained handle can never silently alias a recycled record:
 ///    `contains` is always exact, and `get` on a stale handle aborts under
@@ -63,11 +62,10 @@ class Slab {
 
   std::size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
-  /// Total slots ever created (live + free).
+  /// Total slots ever created (live + free); constant while the free list
+  /// can satisfy every emplace (the zero-steady-state-allocation assertion).
+  // ilu-lint: allow(test-only-api) - test hook over the slot vector's size
   std::size_t slot_count() const { return slots_.size(); }
-  /// Number of slot-vector growth events; constant while the free list can
-  /// satisfy every emplace (the zero-steady-state-allocation assertion).
-  std::uint64_t allocations() const { return allocations_; }
 
   void reserve(std::size_t n) { slots_.reserve(n); }
 
@@ -101,7 +99,6 @@ class Slab {
       index = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();  // Slot{} starts live at gen 1
       slots_[index].value = T{std::forward<Args>(args)...};
-      ++allocations_;
     }
     ++live_;
     return Handle{index, slots_[index].gen};
@@ -150,7 +147,6 @@ class Slab {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;
   std::size_t live_ = 0;
-  std::uint64_t allocations_ = 0;
 };
 
 }  // namespace ilu

@@ -62,6 +62,7 @@ class Task {
   }
 
   /// True when the callable lives in the inline buffer (for tests/benches).
+  // ilu-lint: allow(test-only-api) - test hook over the ops table every Task carries
   bool is_inline() const noexcept { return ops_ != nullptr && ops_->inline_stored; }
 
  private:

@@ -271,6 +271,7 @@ class TimerWheel {
 
   /// Node slots ever materialized (chunk granularity) — the memory
   /// footprint bound the regression tests pin down.
+  // ilu-lint: allow(test-only-api) - test hook over the capacity the chunk growth keeps
   std::uint64_t node_capacity() const {
     return capacity_.load(std::memory_order_acquire);
   }

@@ -21,32 +21,4 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
 
 void CsvWriter::flush() { out_.flush(); }
 
-CsvReader::CsvReader(const std::string& path) : in_(path) {
-  if (!in_) throw std::runtime_error("CsvReader: cannot open " + path);
-}
-
-bool CsvReader::next(std::vector<std::string>& fields) {
-  std::string line;
-  if (!std::getline(in_, line)) return false;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  auto parts = split_csv_line(line);
-  fields.assign(parts.begin(), parts.end());
-  return true;
-}
-
-std::vector<std::string> split_csv_line(std::string_view line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    std::size_t pos = line.find(',', start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(line.substr(start));
-      break;
-    }
-    out.emplace_back(line.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
 }  // namespace ilu

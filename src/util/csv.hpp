@@ -2,12 +2,11 @@
 
 #include <fstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
-/// Minimal CSV reading/writing for trace files and benchmark output.
-/// Fields never contain commas or quotes in this project, so no quoting
-/// logic is implemented; writing a field containing a comma is an error.
+/// Minimal CSV writing for benchmark and report output. Fields never
+/// contain commas or quotes in this project, so no quoting logic is
+/// implemented; writing a field containing a comma is an error.
 namespace ilu {
 
 class CsvWriter {
@@ -40,20 +39,5 @@ class CsvWriter {
 
   std::ofstream out_;
 };
-
-class CsvReader {
- public:
-  /// Opens `path` for reading. Throws std::runtime_error on failure.
-  explicit CsvReader(const std::string& path);
-
-  /// Read the next row into `fields`. Returns false at EOF.
-  bool next(std::vector<std::string>& fields);
-
- private:
-  std::ifstream in_;
-};
-
-/// Split a single CSV line on commas (no quoting).
-std::vector<std::string> split_csv_line(std::string_view line);
 
 }  // namespace ilu

@@ -60,7 +60,9 @@ class JsonValue {
   bool as_bool() const;
   double as_number() const;
   const std::string& as_string() const;
+  // ilu-lint: allow(test-only-api) - completes the typed accessors; tests walk dumped arrays
   const JsonArray& as_array() const;
+  // ilu-lint: allow(test-only-api) - completes the typed accessors; tests walk dumped objects
   const JsonObject& as_object() const;
 
   /// Object field lookup; returns nullptr when absent or not an object.

@@ -76,12 +76,6 @@ double Rng::lognormal_median(double median, double sigma) {
   return median * std::exp(sigma * normal());
 }
 
-double Rng::pareto(double xm, double alpha) {
-  assert(xm > 0.0 && alpha > 0.0);
-  double u = 1.0 - uniform();  // (0, 1]
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
 std::uint64_t Rng::poisson(double lambda) {
   assert(lambda >= 0.0);
   if (lambda <= 0.0) return 0;
@@ -103,18 +97,5 @@ std::uint64_t Rng::poisson(double lambda) {
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) total += w;
-  double target = uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return i;
-  }
-  return weights.size() - 1;
-}
 
 }  // namespace ilu

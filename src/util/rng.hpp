@@ -47,18 +47,12 @@ class Rng {
   /// latency distributions ("p50 is X, tail spread sigma").
   double lognormal_median(double median, double sigma);
 
-  /// Pareto (Lomax-style, xm scale, alpha shape): heavy-tailed sizes.
-  double pareto(double xm, double alpha);
-
   /// Poisson-distributed count with the given mean (Knuth for small lambda,
   /// normal approximation for large).
   std::uint64_t poisson(double lambda);
 
   /// true with probability p.
   bool bernoulli(double p);
-
-  /// Sample an index from an (unnormalized) weight vector.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
   /// Fisher-Yates shuffle.
   template <typename T>

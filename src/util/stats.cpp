@@ -77,11 +77,6 @@ double SlidingRateMeter::rate_per_sec(TimePoint now) {
   return static_cast<double>(events_.size()) / to_sec(effective);
 }
 
-std::size_t SlidingRateMeter::count_in_window(TimePoint now) {
-  expire(now);
-  return events_.size();
-}
-
 double Summary::mean() const {
   if (values_.empty()) return 0.0;
   double s = 0.0;
@@ -152,11 +147,6 @@ double BucketHistogram::quantile_upper_bound(double fraction) const {
 double BucketHistogram::quantile_lower_bound(double fraction) const {
   double upper = quantile_upper_bound(fraction);
   return upper >= width_ ? upper - width_ : 0.0;
-}
-
-double BucketHistogram::overflow_fraction() const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.back()) / static_cast<double>(total_);
 }
 
 void BucketHistogram::reset() {

@@ -65,7 +65,6 @@ class SlidingRateMeter {
   void record(TimePoint t);
   /// Events per second over the window ending at `now`.
   double rate_per_sec(TimePoint now);
-  std::size_t count_in_window(TimePoint now);
 
  private:
   void expire(TimePoint now);
@@ -110,15 +109,12 @@ class BucketHistogram {
   void add(double x);
   std::uint64_t total() const { return total_; }
   std::size_t num_buckets() const { return counts_.size(); }
-  std::uint64_t bucket_count(std::size_t i) const { return counts_[i]; }
   /// Smallest x-upper-bound such that at least `fraction` of the mass lies
   /// at or below it. fraction in (0, 1]. Returns 0 if empty.
   double quantile_upper_bound(double fraction) const;
   /// Lower edge of the same bucket (quantile_upper_bound minus one bucket
   /// width, floored at 0). Prefetchers aim *before* this edge.
   double quantile_lower_bound(double fraction) const;
-  /// Fraction of samples that landed in the overflow (last) bucket.
-  double overflow_fraction() const;
   void reset();
 
  private:

@@ -23,8 +23,6 @@ TEST(Characteristics, UnseenFunctionReadCreatesNoEntry) {
     EXPECT_EQ(m.expected_cold(fn), Duration::zero());
     EXPECT_DOUBLE_EQ(m.mean_iat_s(fn), 0.0);
     EXPECT_EQ(m.arrivals(fn), 0u);
-    EXPECT_EQ(m.warm_count(fn), 0u);
-    EXPECT_EQ(m.cold_count(fn), 0u);
   }
   // ...and reading them created nothing.
   EXPECT_EQ(m.tracked(), 1u);
@@ -67,8 +65,6 @@ TEST(Characteristics, ColdAndWarmTrackedSeparately) {
   m.record_cold(0, secs(2));
   EXPECT_EQ(m.expected_warm(0), msecs(100));
   EXPECT_EQ(m.expected_cold(0), secs(2));
-  EXPECT_EQ(m.warm_count(0), 1u);
-  EXPECT_EQ(m.cold_count(0), 1u);
 }
 
 TEST(Characteristics, IatTracking) {

@@ -98,54 +98,6 @@ TEST(Config, WorkerRoundTrip) {
   EXPECT_EQ(again.bypass_threshold, msecs(100));
 }
 
-TEST(Config, OpenWhiskDocument) {
-  auto cfg = openwhisk_config_from_json(json_parse(R"({
-    "cores": 8, "memory_mb": 2048, "keepalive_policy": "GD",
-    "ttl_minutes": 5, "buffer_capacity": 64, "buffer_timeout_s": 10,
-    "seed": 3
-  })"));
-  EXPECT_DOUBLE_EQ(cfg.cores, 8.0);
-  EXPECT_EQ(cfg.keepalive_policy, "GD");
-  EXPECT_EQ(cfg.keepalive_ttl, mins(5));
-  EXPECT_EQ(cfg.buffer_capacity, 64u);
-  EXPECT_EQ(cfg.buffer_timeout, secs(10));
-}
-
-TEST(Config, OpenWhiskRoundTrip) {
-  OpenWhiskConfig cfg;
-  cfg.keepalive_policy = "GD";
-  cfg.buffer_capacity = 99;
-  auto again = openwhisk_config_from_json(openwhisk_config_to_json(cfg));
-  EXPECT_EQ(again.keepalive_policy, "GD");
-  EXPECT_EQ(again.buffer_capacity, 99u);
-}
-
-TEST(Config, ClusterDocumentWithNestedWorker) {
-  auto cfg = cluster_config_from_json(json_parse(R"({
-    "num_workers": 6, "lb": "least", "bound_factor": 1.5,
-    "worker": {"cores": 12, "keepalive_policy": "TTL"}
-  })"));
-  EXPECT_EQ(cfg.num_workers, 6u);
-  EXPECT_EQ(cfg.lb, LbPolicy::LeastLoaded);
-  EXPECT_DOUBLE_EQ(cfg.chbl.bound_factor, 1.5);
-  EXPECT_DOUBLE_EQ(cfg.worker.cores, 12.0);
-  EXPECT_EQ(cfg.worker.keepalive_policy, "TTL");
-}
-
-TEST(Config, ClusterBadLbRejected) {
-  EXPECT_THROW(cluster_config_from_json(json_parse(R"({"lb":"magic"})")),
-               std::invalid_argument);
-}
-
-TEST(Config, ClusterRoundTrip) {
-  ClusterConfig cfg;
-  cfg.num_workers = 3;
-  cfg.lb = LbPolicy::RoundRobin;
-  auto again = cluster_config_from_json(cluster_config_to_json(cfg));
-  EXPECT_EQ(again.num_workers, 3u);
-  EXPECT_EQ(again.lb, LbPolicy::RoundRobin);
-}
-
 TEST(Config, LoadWorkerConfigFromFile) {
   auto path = (std::filesystem::temp_directory_path() / "ilu_cfg_test.json")
                   .string();

@@ -73,8 +73,8 @@ TEST_F(ContainerPoolTest, MemoryPressureEvictsIdleLru) {
   EXPECT_EQ(evicted_[0], 0u);
   EXPECT_EQ(pool_.evictions(), 1u);
   // The evicted container's handle is now stale.
-  EXPECT_FALSE(pool_.alive(a));
-  EXPECT_TRUE(pool_.alive(b));
+  EXPECT_FALSE(pool_.store().contains(a));
+  EXPECT_TRUE(pool_.store().contains(b));
 }
 
 TEST_F(ContainerPoolTest, EqualRanksEvictTheLongestIdleFirst) {
@@ -102,7 +102,7 @@ TEST_F(ContainerPoolTest, RemoveReleasesMemoryWithoutEvictionCallback) {
   pool_.remove(c);
   EXPECT_EQ(pool_.used_mb(), 0u);
   EXPECT_TRUE(evicted_.empty());
-  EXPECT_FALSE(pool_.alive(c));
+  EXPECT_FALSE(pool_.store().contains(c));
 }
 
 TEST_F(ContainerPoolTest, SweepRestoresFreeBuffer) {
@@ -217,8 +217,8 @@ TEST_F(ContainerPoolTest, SlotRecyclingBumpsGeneration) {
   ContainerHandle b = make_running(0, 100);
   EXPECT_EQ(b.index, a.index);
   EXPECT_NE(b.gen, a.gen);
-  EXPECT_FALSE(pool_.alive(a));
-  EXPECT_TRUE(pool_.alive(b));
+  EXPECT_FALSE(pool_.store().contains(a));
+  EXPECT_TRUE(pool_.store().contains(b));
 }
 
 }  // namespace

@@ -157,10 +157,15 @@ TEST(CpuModel, LoadAverageDecaysAfterIdle) {
 TEST(CpuModel, EstimateReflectsContention) {
   SimRuntime rt;
   CpuModel cpu(rt, 1.0);
-  EXPECT_EQ(cpu.estimate(1.0, 1.0), secs(1));
+  TimePoint alone{}, shared{};
+  cpu.submit(1.0, 1.0, [&] { alone = rt.now(); });
+  rt.run();
+  EXPECT_EQ(alone, secs(1));
+  // Beside a second unit-weight task, each gets 0.5 cores.
   cpu.submit(100.0, 1.0, [] {});
-  // Adding a second unit-weight task: each gets 0.5 cores.
-  EXPECT_EQ(cpu.estimate(1.0, 1.0), secs(2));
+  cpu.submit(1.0, 1.0, [&] { shared = rt.now(); });
+  rt.run_until(secs(10));
+  EXPECT_NEAR(to_sec(shared - alone), 2.0, 0.001);
 }
 
 TEST(CpuModel, ManyTasksStressConsistency) {

@@ -91,56 +91,59 @@ TEST(Clairvoyant, OracleBeatsOnlinePoliciesOnMissRatio) {
 
 // ---------- snapshot cold starts ----------
 
+/// containerd with exact latencies: a full create takes 300 + 200 ms, a
+/// snapshot restore 60 ms, so each create's duration says which it was.
+BackendLatencyProfile exact_profile(bool snapshots) {
+  auto exactly = [](Duration d) {
+    return LatencyModel::shifted(d, LatencyModel::zero());
+  };
+  auto profile = BackendLatencyProfile::containerd();
+  profile.snapshot_cold_starts = snapshots;
+  profile.snapshot_restore = exactly(msecs(60));
+  profile.create = exactly(msecs(300));
+  profile.agent_start = exactly(msecs(200));
+  return profile;
+}
+
+/// Duration of one create of `fn` on `be`, run to completion.
+Duration timed_create(SimRuntime& rt, SimContainerBackend& be,
+                      const FunctionProfile& fn) {
+  const TimePoint start = rt.now();
+  TimePoint done{};
+  be.create_container(fn, [&](bool ok) {
+    EXPECT_TRUE(ok);
+    done = rt.now();
+  });
+  rt.run();
+  return done - start;
+}
+
 TEST(SnapshotColdStarts, SecondCreateIsFast) {
   SimRuntime rt;
   CpuModel cpu(rt, 4.0);
-  auto profile = BackendLatencyProfile::containerd();
-  profile.snapshot_cold_starts = true;
-  profile.snapshot_restore = LatencyModel::constant(msecs(60));
-  profile.create = LatencyModel::constant(msecs(300));
-  profile.agent_start = LatencyModel::constant(msecs(200));
-  SimContainerBackend be(rt, cpu, Rng(1), profile);
-
+  SimContainerBackend be(rt, cpu, Rng(1), exact_profile(true));
   auto fn = pyaes();
-  TimePoint first_done{}, second_done{};
-  be.create_container(fn, [&](bool ok) {
-    EXPECT_TRUE(ok);
-    first_done = rt.now();
-    be.create_container(fn, [&](bool ok2) {
-      EXPECT_TRUE(ok2);
-      second_done = rt.now();
-    });
-  });
-  rt.run();
-  EXPECT_EQ(first_done, msecs(500));            // full create + agent
-  EXPECT_EQ(second_done - first_done, msecs(60));  // snapshot restore
-  EXPECT_EQ(be.snapshot_restores(), 1u);
+  EXPECT_EQ(timed_create(rt, be, fn), msecs(500));  // full create + agent
+  EXPECT_EQ(timed_create(rt, be, fn), msecs(60));   // snapshot restore
 }
 
 TEST(SnapshotColdStarts, DistinctFunctionsGetOwnSnapshots) {
   SimRuntime rt;
   CpuModel cpu(rt, 4.0);
-  auto profile = BackendLatencyProfile::crun();
-  profile.snapshot_cold_starts = true;
-  SimContainerBackend be(rt, cpu, Rng(1), profile);
-  be.create_container(pyaes(), [](bool) {});
-  rt.run();
+  SimContainerBackend be(rt, cpu, Rng(1), exact_profile(true));
+  EXPECT_EQ(timed_create(rt, be, pyaes()), msecs(500));
   // A different function's first create is NOT a snapshot restore.
-  be.create_container(function_bench_app("float_op"), [](bool) {});
-  rt.run();
-  EXPECT_EQ(be.snapshot_restores(), 0u);
+  EXPECT_EQ(timed_create(rt, be, function_bench_app("float_op")),
+            msecs(500));
 }
 
 TEST(SnapshotColdStarts, DisabledByDefault) {
+  EXPECT_FALSE(BackendLatencyProfile::containerd().snapshot_cold_starts);
   SimRuntime rt;
   CpuModel cpu(rt, 4.0);
-  SimContainerBackend be(rt, cpu, Rng(1),
-                         BackendLatencyProfile::containerd());
-  be.create_container(pyaes(), [](bool) {});
-  rt.run();
-  be.create_container(pyaes(), [](bool) {});
-  rt.run();
-  EXPECT_EQ(be.snapshot_restores(), 0u);
+  SimContainerBackend be(rt, cpu, Rng(1), exact_profile(false));
+  EXPECT_EQ(timed_create(rt, be, pyaes()), msecs(500));
+  EXPECT_EQ(timed_create(rt, be, pyaes()), msecs(500));
 }
 
 // ---------- stretch-signal AIMD ----------

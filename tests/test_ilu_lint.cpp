@@ -56,7 +56,7 @@ TEST(IluLint, CatalogueListsAllChecks) {
                        "raw-thread", "std-function-hotpath",
                        "const-ref-capture", "lock-order",
                        "atomics-discipline", "blocking-under-lock",
-                       "include-layering"}));
+                       "include-layering", "test-only-api"}));
 }
 
 // ---- wall-clock ----------------------------------------------------------
@@ -474,12 +474,240 @@ TEST(IluLint, BlockingUnderLockHonorsSuppression) {
   EXPECT_TRUE(lint_file(in).empty());
 }
 
+TEST(IluLint, LockIdentityResolvesOutOfLineMethods) {
+  // Alpha::f holds Alpha::mu_ into Beta::g (takes Beta::mu_); Beta::h holds
+  // Beta::mu_ into Alpha::k (takes Alpha::mu_). Both locks are named `mu_`
+  // and every method body is out of line, so the lock's class must come
+  // from the method being walked, or both collapse into one file-named
+  // node and the inversion vanishes.
+  ilu::lint::FileInput in;
+  in.rel_path = "exp/ab.cpp";
+  in.content =
+      "#include <mutex>\n"
+      "class Beta;\n"
+      "class Alpha {\n"
+      " public:\n"
+      "  void f();\n"
+      "  void k();\n"
+      " private:\n"
+      "  std::mutex mu_;\n"
+      "  Beta* beta_;\n"
+      "};\n"
+      "class Beta {\n"
+      " public:\n"
+      "  void g();\n"
+      "  void h();\n"
+      " private:\n"
+      "  std::mutex mu_;\n"
+      "  Alpha* alpha_;\n"
+      "};\n"
+      "void Alpha::f() {\n"
+      "  std::lock_guard<std::mutex> lk(mu_);\n"
+      "  beta_->g();\n"
+      "}\n"
+      "void Beta::g() { std::lock_guard<std::mutex> lk(mu_); }\n"
+      "void Beta::h() {\n"
+      "  std::lock_guard<std::mutex> lk(mu_);\n"
+      "  alpha_->k();\n"
+      "}\n"
+      "void Alpha::k() { std::lock_guard<std::mutex> lk(mu_); }\n";
+  auto fs = lint_file(in);
+  ASSERT_EQ(count_check(fs, "lock-order"), 1);
+  EXPECT_NE(fs.front().message.find("Alpha::mu_"), std::string::npos);
+  EXPECT_NE(fs.front().message.find("Beta::mu_"), std::string::npos);
+}
+
+TEST(IluLint, LockIdentityResolvesMembersDeclaredInTheHeader) {
+  // The same inversion in the repo's usual layout: classes in a header,
+  // methods in the .cpp, and a third class with same-named methods, so
+  // `beta_->g()` resolves only through the member type the header declares.
+  std::vector<ilu::lint::FileInput> ins = {
+      {"exp/ab.hpp",
+       "#include <mutex>\n"
+       "class Beta;\n"
+       "class Alpha {\n"
+       "  void f();\n"
+       "  void k();\n"
+       "  std::mutex mu_;\n"
+       "  Beta* beta_;\n"
+       "};\n"
+       "class Beta {\n"
+       "  void g();\n"
+       "  void h();\n"
+       "  std::mutex mu_;\n"
+       "  Alpha* alpha_;\n"
+       "};\n"
+       "class Gamma {\n"
+       "  void g();\n"
+       "  void k();\n"
+       "};\n",
+       ""},
+      {"exp/ab.cpp",
+       "#include \"exp/ab.hpp\"\n"
+       "void Alpha::f() {\n"
+       "  std::lock_guard<std::mutex> lk(mu_);\n"
+       "  beta_->g();\n"
+       "}\n"
+       "void Beta::g() { std::lock_guard<std::mutex> lk(mu_); }\n"
+       "void Beta::h() {\n"
+       "  std::lock_guard<std::mutex> lk(mu_);\n"
+       "  alpha_->k();\n"
+       "}\n"
+       "void Alpha::k() { std::lock_guard<std::mutex> lk(mu_); }\n"
+       "void Gamma::g() {}\n"
+       "void Gamma::k() {}\n",
+       ""}};
+  auto fs = ilu::lint::lint_inputs(ins);
+  ASSERT_EQ(count_check(fs, "lock-order"), 1);
+  EXPECT_NE(fs.front().message.find("Alpha::mu_"), std::string::npos);
+  EXPECT_NE(fs.front().message.find("Beta::mu_"), std::string::npos);
+}
+
+// ---- test-only-api -------------------------------------------------------
+
+/// A src/ header with public API, its .cpp, and callers outside src/.
+struct ApiFixture {
+  std::vector<ilu::lint::FileInput> src = {
+      {"util/widget.hpp",
+       "#pragma once\n"
+       "#define WIDGET_POKE(w) (w).poke()\n"
+       "class Widget {\n"
+       " public:\n"
+       "  Widget();\n"
+       "  ~Widget();\n"
+       "  int used() const;\n"
+       "  int helper() const;\n"
+       "  int probe() const;\n"
+       "  void poke();\n"
+       "  static int make(int x);\n"
+       "  bool operator==(const Widget& o) const;\n"
+       " private:\n"
+       "  int hidden() const;\n"
+       "};\n"
+       "int free_probe(int x);\n",
+       ""},
+      {"util/widget.cpp",
+       "#include \"util/widget.hpp\"\n"
+       "int Widget::used() const { return helper(); }\n"
+       "int Widget::helper() const { return hidden(); }\n"
+       "int Widget::probe() const { return 1; }\n"
+       "void Widget::poke() {}\n"
+       "int Widget::make(int x) { return x; }\n"
+       "int Widget::hidden() const { return 0; }\n"
+       "int free_probe(int x) { return x; }\n",
+       ""}};
+  std::vector<ilu::lint::FileInput> callers = {
+      {"bench/b.cpp",
+       "int main() { Widget w; WIDGET_POKE(w); return w.used() + "
+       "Widget::make(1); }\n",
+       ""},
+      {"tests/t.cpp",
+       "void t() { Widget w; (void)w.probe(); /* free_probe */ }\n", ""}};
+};
+
+std::vector<Finding> api_findings(const std::vector<Finding>& fs) {
+  std::vector<Finding> out;
+  for (const auto& f : fs) {
+    if (f.check == "test-only-api") out.push_back(f);
+  }
+  return out;
+}
+
+TEST(IluLint, TestOnlyApiFlagsAFunctionOnlyTestsName) {
+  ApiFixture fx;
+  auto fs = api_findings(ilu::lint::lint_inputs(fx.src, &fx.callers));
+  ASSERT_EQ(fs.size(), 2u);
+  EXPECT_EQ(fs[0].path, "util/widget.hpp");
+  EXPECT_EQ(fs[0].line, 9);
+  EXPECT_NE(fs[0].message.find("`Widget::probe`"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("named only by tests/"), std::string::npos);
+  // A comment that names it in tests/ is not a use: named nowhere.
+  EXPECT_EQ(fs[1].line, 16);
+  EXPECT_NE(fs[1].message.find("`free_probe` is public but named nowhere"),
+            std::string::npos);
+}
+
+TEST(IluLint, TestOnlyApiHonorsAllow) {
+  ApiFixture fx;
+  std::string& hdr = fx.src[0].content;
+  const std::string decl = "  int probe() const;\n";
+  hdr.replace(hdr.find(decl), decl.size(),
+              "  // ilu-lint: allow(test-only-api) - fixture test hook\n" +
+                  decl);
+  auto fs = api_findings(ilu::lint::lint_inputs(fx.src, &fx.callers));
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_NE(fs[0].message.find("free_probe"), std::string::npos);
+}
+
+TEST(IluLint, TestOnlyApiCountsBenchCallers) {
+  // `used`, the static `make` and `poke` (through a macro body) are named
+  // only in bench/; without that caller all three are findings.
+  ApiFixture fx;
+  auto with_bench = api_findings(ilu::lint::lint_inputs(fx.src, &fx.callers));
+  for (const auto& f : with_bench) {
+    EXPECT_EQ(f.message.find("`Widget::used`"), std::string::npos);
+    EXPECT_EQ(f.message.find("`Widget::make`"), std::string::npos);
+    EXPECT_EQ(f.message.find("`Widget::poke`"), std::string::npos);
+  }
+  fx.callers.erase(fx.callers.begin());
+  fx.src[0].content.erase(fx.src[0].content.find("#define"),
+                          fx.src[0].content.find("class") -
+                              fx.src[0].content.find("#define"));
+  EXPECT_EQ(api_findings(ilu::lint::lint_inputs(fx.src, &fx.callers)).size(),
+            with_bench.size() + 3);
+}
+
+TEST(IluLint, TestOnlyApiSkipsPrivateMethodsAndSpecialMembers) {
+  // `hidden` is named by no caller at all, but private; the constructor,
+  // destructor and operator== are exempt by kind.
+  ApiFixture fx;
+  for (const auto& f :
+       api_findings(ilu::lint::lint_inputs(fx.src, &fx.callers))) {
+    EXPECT_EQ(f.message.find("hidden"), std::string::npos);
+    EXPECT_EQ(f.message.find("Widget::Widget"), std::string::npos);
+    EXPECT_EQ(f.message.find("operator"), std::string::npos);
+  }
+}
+
+TEST(IluLint, TestOnlyApiCountsSrcCallers) {
+  // `helper` is public and named by no caller outside src/, but
+  // Widget::used calls it. Its own declaration and definition do not
+  // count: without that call it is a finding.
+  ApiFixture fx;
+  auto named = [](const std::vector<Finding>& fs, const std::string& s) {
+    return std::any_of(fs.begin(), fs.end(), [&](const Finding& f) {
+      return f.message.find(s) != std::string::npos;
+    });
+  };
+  EXPECT_FALSE(named(api_findings(ilu::lint::lint_inputs(fx.src, &fx.callers)),
+                     "Widget::helper"));
+  std::string& cpp = fx.src[1].content;
+  cpp.replace(cpp.find("return helper();"), 16, "return 2;");
+  EXPECT_TRUE(named(api_findings(ilu::lint::lint_inputs(fx.src, &fx.callers)),
+                    "Widget::helper"));
+}
+
+TEST(IluLint, TestOnlyApiSilentInFileMode) {
+  // --file (and --src) stage no callers, so the check cannot run.
+  ApiFixture fx;
+  EXPECT_TRUE(api_findings(ilu::lint::lint_inputs(fx.src)).empty());
+  EXPECT_TRUE(api_findings(lint_file(fx.src[0])).empty());
+}
+
 // ---- whole tree ----------------------------------------------------------
 
 TEST(IluLint, RealTreeIsClean) {
   std::size_t files = 0;
   auto fs = lint_tree(std::string(ILU_SOURCE_DIR) + "/src", &files);
   EXPECT_GT(files, 50u) << "tree walk found suspiciously few files";
+  // test-only-api needs the callers outside src/, as `--root` loads them.
+  const auto callers = ilu::lint::load_callers(ILU_SOURCE_DIR);
+  EXPECT_GT(callers.size(), 50u);
+  for (const auto& f : api_findings(ilu::lint::lint_inputs(
+           ilu::lint::load_tree(std::string(ILU_SOURCE_DIR) + "/src"),
+           &callers))) {
+    fs.push_back(f);
+  }
   for (const auto& f : fs) {
     ADD_FAILURE() << f.path << ":" << f.line << ": [" << f.check << "] "
                   << f.message;

@@ -7,6 +7,10 @@
 namespace ilu {
 namespace {
 
+LatencyModel exactly(Duration d) {
+  return LatencyModel::shifted(d, LatencyModel::zero());
+}
+
 TEST(LatencyModel, ZeroAlwaysZero) {
   Rng rng(1);
   auto m = LatencyModel::zero();
@@ -15,10 +19,13 @@ TEST(LatencyModel, ZeroAlwaysZero) {
 }
 
 TEST(LatencyModel, ConstantIsExact) {
+  // A constant latency is a floor over nothing: exact, and draws nothing.
   Rng rng(2);
-  auto m = LatencyModel::constant(msecs(3));
+  auto m = LatencyModel::shifted(msecs(3), LatencyModel::zero());
   for (int i = 0; i < 100; ++i) EXPECT_EQ(m.sample(rng), msecs(3));
   EXPECT_EQ(m.mean(), msecs(3));
+  EXPECT_EQ(m.lower_bound(), msecs(3));
+  EXPECT_EQ(rng.next_u64(), Rng(2).next_u64());
 }
 
 TEST(LatencyModel, UniformWithinBounds) {
@@ -66,8 +73,7 @@ TEST(LatencyModel, LognormalAnalyticMean) {
 
 TEST(LatencyModel, SpikyAddsTailMass) {
   Rng rng(7);
-  auto m = LatencyModel::spiky(LatencyModel::constant(msecs(1)), 0.1,
-                               LatencyModel::constant(msecs(100)));
+  auto m = LatencyModel::spiky(exactly(msecs(1)), 0.1, exactly(msecs(100)));
   int spikes = 0;
   constexpr int n = 100000;
   for (int i = 0; i < n; ++i) {
@@ -80,8 +86,7 @@ TEST(LatencyModel, SpikyAddsTailMass) {
 
 TEST(LatencyModel, SpikyZeroProbabilityIsBase) {
   Rng rng(8);
-  auto m = LatencyModel::spiky(LatencyModel::constant(msecs(2)), 0.0,
-                               LatencyModel::constant(secs(1)));
+  auto m = LatencyModel::spiky(exactly(msecs(2)), 0.0, exactly(secs(1)));
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(m.sample(rng), msecs(2));
 }
 

@@ -27,33 +27,28 @@ TEST(LogHistogram, EmptyIsZero) {
   LogHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.percentile(0.5), 0.0);
-  EXPECT_EQ(h.observed_min(), 0.0);
   EXPECT_EQ(h.observed_max(), 0.0);
-  EXPECT_FALSE(h.saturated());
 }
 
 TEST(LogHistogram, ResetReturnsToEmptyAndObservesAgain) {
   // The live-load harness reuses one stats block across sweep stages via
-  // reset() between quiesced runs; a stale bucket or min/max would corrupt
+  // reset() between quiesced runs; a stale bucket or max would corrupt
   // every stage after the first.
   LogHistogram h;
   h.observe(0.5);
   h.observe(42.0);
   h.observe(4.0e5);  // overflow bucket too
   ASSERT_EQ(h.count(), 3u);
-  ASSERT_EQ(h.overflow_count(), 1u);
+  ASSERT_DOUBLE_EQ(h.percentile(1.0), 4.0e5);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.overflow_count(), 0u);
   EXPECT_DOUBLE_EQ(h.sum(), 0.0);
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.observed_min(), 0.0);
   EXPECT_DOUBLE_EQ(h.observed_max(), 0.0);
   // Fresh observations after reset behave exactly like a new histogram.
   h.observe(3.7);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 3.7);
-  EXPECT_DOUBLE_EQ(h.observed_min(), 3.7);
   EXPECT_DOUBLE_EQ(h.observed_max(), 3.7);
 }
 
@@ -85,8 +80,6 @@ TEST(LogHistogram, BoundedRelativeErrorAcrossDecades) {
   }
   EXPECT_NEAR(h.observed_max(), *std::max_element(xs.begin(), xs.end()),
               1e-5);
-  EXPECT_NEAR(h.observed_min(), *std::min_element(xs.begin(), xs.end()),
-              1e-5);
 }
 
 TEST(LogHistogram, WholeMicrosecondsReadBackExactly) {
@@ -96,7 +89,6 @@ TEST(LogHistogram, WholeMicrosecondsReadBackExactly) {
   h.observe(to_ms(usecs(1001)));
   EXPECT_DOUBLE_EQ(h.sum(), 1.001);
   EXPECT_DOUBLE_EQ(h.mean(), 1.001);
-  EXPECT_DOUBLE_EQ(h.observed_min(), 1.001);
   EXPECT_DOUBLE_EQ(h.observed_max(), 1.001);
   EXPECT_DOUBLE_EQ(h.percentile(1.0), 1.001);
 
@@ -123,7 +115,6 @@ TEST(LogHistogram, UnderflowClampsToFirstBucket) {
   h.observe(1e-7);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_FALSE(h.saturated());
 }
 
 TEST(LogHistogram, OverflowIsTrackedExactly) {
@@ -131,9 +122,12 @@ TEST(LogHistogram, OverflowIsTrackedExactly) {
   h.observe(1.0);
   h.observe(2.5e5);
   h.observe(4.0e5);
-  EXPECT_TRUE(h.saturated());
-  EXPECT_EQ(h.overflow_count(), 2u);
   EXPECT_EQ(h.count(), 3u);
+  // Only the in-range value is bucketed; the two overflows are counted
+  // outside the bucket array.
+  std::uint64_t bucketed = 0;
+  for (std::size_t i = 0; i < h.num_buckets(); ++i) bucketed += h.bucket(i);
+  EXPECT_EQ(bucketed, 1u);
   // Tail quantiles land in the overflow region → the exact max, not a
   // bucket edge and not the range cap.
   EXPECT_DOUBLE_EQ(h.percentile(0.999), 4.0e5);
@@ -170,9 +164,7 @@ TEST(LogHistogram, MergeIsShardCountInvariant) {
       merged.merge(*shards[s]);
     }
     EXPECT_EQ(merged.count(), reference.count()) << "k=" << k;
-    EXPECT_EQ(merged.overflow_count(), reference.overflow_count());
     EXPECT_DOUBLE_EQ(merged.sum(), reference.sum()) << "k=" << k;
-    EXPECT_DOUBLE_EQ(merged.observed_min(), reference.observed_min());
     EXPECT_DOUBLE_EQ(merged.observed_max(), reference.observed_max());
     for (double q : {0.5, 0.9, 0.99, 0.999}) {
       EXPECT_DOUBLE_EQ(merged.percentile(q), reference.percentile(q))

@@ -65,7 +65,7 @@ TEST(PoolInvariants, RandomChurnKeepsValidatorGreen) {
     // Every handle we believe is running must still be live and Running.
     if (step % 1000 == 0) {
       for (ContainerHandle h : running) {
-        ASSERT_TRUE(pool.alive(h));
+        ASSERT_TRUE(pool.store().contains(h));
         ASSERT_EQ(pool.get(h).state, ContainerState::Running);
       }
     }
@@ -119,7 +119,7 @@ TEST(PoolInvariants, HandleGenerationReuseNeverAliases) {
     ContainerHandle c = pool.add_container(0, profile, usecs(round));
     ASSERT_TRUE(c.valid());
     for (ContainerHandle old : stale) {
-      ASSERT_FALSE(pool.alive(old));
+      ASSERT_FALSE(pool.store().contains(old));
       ASSERT_FALSE(old == c);
     }
     pool.remove(c);
@@ -147,7 +147,7 @@ TEST(PoolInvariants, SteadyStateChurnDoesNotGrowSlab) {
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, usecs(i));
   }
-  std::uint64_t allocs_after_warmup = pool.store().allocations();
+  const std::size_t slots_after_warmup = pool.store().slot_count();
   // Steady-state churn: every add evicts one idle victim and recycles its
   // slot — the slab must not allocate again (instrumented-slab assertion).
   for (int i = 0; i < 5000; ++i) {
@@ -157,7 +157,7 @@ TEST(PoolInvariants, SteadyStateChurnDoesNotGrowSlab) {
     pool.get(c).state = ContainerState::Running;
     pool.return_container(c, usecs(100 + i));
   }
-  EXPECT_EQ(pool.store().allocations(), allocs_after_warmup);
+  EXPECT_EQ(pool.store().slot_count(), slots_after_warmup);
   EXPECT_EQ(pool.store().slot_count(), 16u);
 }
 

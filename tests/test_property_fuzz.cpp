@@ -9,8 +9,10 @@
 #include <map>
 
 #include "containers/cpu_model.hpp"
+#include "core/worker.hpp"
 #include "keepalive/pool.hpp"
 #include "keepalive/simulator.hpp"
+#include "lb/cluster.hpp"
 #include "queueing/invocation_queue.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "trace/function_profile.hpp"
@@ -184,6 +186,142 @@ TEST(FuzzContainerPool, RandomOpsPreserveInvariants) {
   // running, idle, removed, or evicted.
   EXPECT_EQ(created, running.size() + pool.idle_count() + removed + evicted +
                          0 * acquired + 0 * returned);
+}
+
+// ---------- Worker and Cluster quiescence under faults ----------
+
+/// A random worker set-up and workload: any keep-alive policy, a 1 or 2 GB
+/// worker with or without a free buffer, create/invoke faults, 0-2 create
+/// retries, and functions up to 3 GB (some larger than the worker).
+struct QuiescenceScenario {
+  WorkerConfig cfg;
+  std::vector<FunctionProfile> functions;
+  struct Arrival {
+    TimePoint at;
+    FunctionId fn;
+    bool prewarm;  // else an invocation
+    std::size_t worker;  // which cluster worker a prewarm targets
+  };
+  std::vector<Arrival> arrivals;
+  std::size_t invocations = 0;
+};
+
+QuiescenceScenario random_scenario(std::uint64_t seed, bool oversize) {
+  static const char* const kPolicies[] = {"TTL", "LRU", "FREQ",
+                                          "GD",  "LND", "HIST"};
+  Rng rng(seed);
+  QuiescenceScenario s;
+  WorkerConfig& cfg = s.cfg;
+  cfg.cores = 4.0;
+  cfg.memory_mb = rng.bernoulli(0.5) ? 1024 : 2048;
+  cfg.pool.free_buffer_mb = rng.bernoulli(0.5) ? 0 : 256;
+  cfg.pool.sweep_interval = msecs(500);
+  cfg.keepalive_policy = kPolicies[rng.uniform_index(6)];
+  cfg.faults.create_failure_prob = rng.uniform(0.0, 0.3);
+  cfg.faults.invoke_failure_prob = rng.uniform(0.0, 0.2);
+  cfg.create_retries = static_cast<int>(rng.uniform_index(3));
+  cfg.regulator.limit = 6.0;
+  cfg.seed = rng.next_u64();
+  const std::size_t nfns = 3 + rng.uniform_index(4);
+  for (std::size_t i = 0; i < nfns; ++i) {
+    const std::uint64_t max_mb = oversize ? 3072 : cfg.memory_mb;
+    s.functions.push_back(FunctionProfile{
+        .name = "f" + std::to_string(i),
+        .mem_mb = static_cast<std::uint32_t>(
+            128 * (1 + rng.uniform_index(max_mb / 128))),
+        .warm_time = msecs(rng.uniform(5.0, 300.0)),
+        .init_time = msecs(rng.uniform(50.0, 800.0))});
+  }
+  if (oversize) s.functions.back().mem_mb = 3072;
+  for (int i = 0; i < 80; ++i) {
+    const bool prewarm = rng.bernoulli(0.1);
+    s.arrivals.push_back({msecs(rng.uniform(0.0, 20000.0)),
+                          static_cast<FunctionId>(rng.uniform_index(nfns)),
+                          prewarm, rng.uniform_index(2)});
+    if (!prewarm) ++s.invocations;
+  }
+  return s;
+}
+
+/// Drain the runtime, then check that nothing was lost or stranded.
+void expect_quiescent(Worker& w, const std::string& where) {
+  EXPECT_EQ(w.status().running, 0u) << where;
+  EXPECT_EQ(w.status().queue_len, 0u) << where;
+  std::string why;
+  EXPECT_TRUE(w.pool().validate(&why)) << where << ": " << why;
+}
+
+/// Every submitted invocation called back exactly once.
+void expect_each_called_once(const std::vector<int>& calls,
+                             const std::string& where) {
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    EXPECT_EQ(calls[i], 1) << where << " invocation " << i;
+  }
+}
+
+TEST(FuzzQuiescence, WorkerCallsBackEveryInvocationOnce) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const auto s = random_scenario(seed, /*oversize=*/seed % 2 == 0);
+    const std::string where = "seed " + std::to_string(seed);
+    SimRuntime rt;
+    Worker w(rt, s.cfg);
+    for (const auto& f : s.functions) w.register_function(f);
+    w.start();
+    std::vector<int> calls(s.invocations, 0);
+    std::size_t next = 0;
+    for (const auto& a : s.arrivals) {
+      if (a.prewarm) {
+        rt.schedule(a.at, [&w, fn = a.fn] { w.prewarm(fn); });
+      } else {
+        rt.schedule(a.at, [&w, &calls, fn = a.fn, i = next++] {
+          w.invoke(fn, [&calls, i](const InvokeResult&) { ++calls[i]; });
+        });
+      }
+    }
+    rt.run_for(mins(20));
+    expect_each_called_once(calls, where);
+    expect_quiescent(w, where);
+    EXPECT_EQ(w.completed() + w.failures(), s.invocations) << where;
+    w.shutdown();
+  }
+}
+
+TEST(FuzzQuiescence, ChblClusterCallsBackEveryInvocationOnce) {
+  for (std::uint64_t seed = 1001; seed <= 1060; ++seed) {
+    const auto s = random_scenario(seed, /*oversize=*/seed % 2 == 0);
+    const std::string where = "seed " + std::to_string(seed);
+    SimRuntime rt;
+    ClusterConfig cc;
+    cc.num_workers = 2;
+    cc.lb = LbPolicy::ChBl;
+    cc.worker = s.cfg;
+    cc.seed = seed;
+    Cluster cluster(rt, cc);
+    for (const auto& f : s.functions) cluster.register_function(f);
+    cluster.start();
+    std::vector<int> calls(s.invocations, 0);
+    std::size_t next = 0;
+    for (const auto& a : s.arrivals) {
+      if (a.prewarm) {
+        rt.schedule(a.at, [&cluster, a] { cluster.worker(a.worker).prewarm(a.fn); });
+      } else {
+        rt.schedule(a.at, [&cluster, &calls, fn = a.fn, i = next++] {
+          cluster.invoke(fn,
+                         [&calls, i](const InvokeResult&) { ++calls[i]; });
+        });
+      }
+    }
+    rt.run_for(mins(20));
+    expect_each_called_once(calls, where);
+    std::uint64_t settled = 0;
+    for (std::size_t i = 0; i < cluster.num_workers(); ++i) {
+      expect_quiescent(cluster.worker(i),
+                       where + " worker " + std::to_string(i));
+      settled += cluster.worker(i).completed() + cluster.worker(i).failures();
+    }
+    EXPECT_EQ(settled, s.invocations) << where;
+    cluster.shutdown();
+  }
 }
 
 // ---------- InvocationQueue ordering property ----------

@@ -117,15 +117,6 @@ TEST_F(QueueingTest, QueueSizeTracking) {
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST_F(QueueingTest, HeadPriorityVisible) {
-  seed_chars();
-  SjfQueuePolicy policy;
-  InvocationQueue q(policy, chars_);
-  EXPECT_FALSE(q.head_priority().has_value());
-  q.push(item(1, secs(0)), true);
-  EXPECT_NEAR(*q.head_priority(), 5000.0, 1e-6);
-}
-
 TEST(Regulator, FixedLimitEnforced) {
   ConcurrencyRegulator reg(RegulatorConfig{.limit = 4.0});
   EXPECT_TRUE(reg.can_dispatch(3));

@@ -104,13 +104,6 @@ TEST(Rng, LognormalMedianConverges) {
   EXPECT_NEAR(v[n / 2], 50.0, 2.0);
 }
 
-TEST(Rng, ParetoRespectsScale) {
-  Rng rng(10);
-  for (int i = 0; i < 10000; ++i) {
-    ASSERT_GE(rng.pareto(2.0, 1.5), 2.0);
-  }
-}
-
 TEST(Rng, PoissonMeanSmallLambda) {
   Rng rng(11);
   double sum = 0.0;
@@ -138,17 +131,6 @@ TEST(Rng, BernoulliProbability) {
   constexpr int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, WeightedIndexFollowsWeights) {
-  Rng rng(15);
-  std::vector<double> w{1.0, 3.0, 6.0};
-  std::vector<int> counts(3, 0);
-  constexpr int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(w)];
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.6, 0.01);
 }
 
 TEST(Rng, ShuffleIsPermutation) {

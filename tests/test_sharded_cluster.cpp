@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "lb/cluster.hpp"
-#include "lb/placement.hpp"
 #include "metrics/report.hpp"
 #include "obs/flight.hpp"
 #include "trace/azure.hpp"
@@ -43,13 +42,10 @@ struct RunResult {
 };
 
 RunResult run_cluster(std::size_t shards, const Trace& trace,
-                      LbPolicy lb,
-                      Placement placement = Placement::kRoundRobin,
-                      Duration slice = secs(30)) {
+                      LbPolicy lb, Duration slice = secs(30)) {
   ClusterConfig cfg;
   cfg.num_workers = 4;
   cfg.lb = lb;
-  cfg.placement = placement;
   cfg.worker.cores = 8;
   cfg.worker.memory_mb = 8 * 1024;
 
@@ -90,18 +86,15 @@ TEST(ShardedCluster, ReportsByteIdenticalAtAnyShardCount) {
   ASSERT_FALSE(serial.report_json.empty());
   EXPECT_EQ(serial.windows, 0u);  // 1 shard takes the fast path
 
-  for (Placement placement : {Placement::kRoundRobin, Placement::kLocality}) {
-    for (std::size_t shards : {2u, 4u}) {
-      auto sharded = run_cluster(shards, trace, LbPolicy::ChBl, placement);
-      EXPECT_EQ(sharded.report_json, serial.report_json)
-          << "report diverged at " << shards << " shards, "
-          << to_string(placement) << " placement";
-      EXPECT_EQ(sharded.routed, serial.routed);
-      EXPECT_EQ(sharded.forwarded, serial.forwarded);
-      EXPECT_EQ(sharded.warm, serial.warm);
-      EXPECT_EQ(sharded.cold, serial.cold);
-      EXPECT_GT(sharded.windows, 0u);
-    }
+  for (std::size_t shards : {2u, 4u}) {
+    auto sharded = run_cluster(shards, trace, LbPolicy::ChBl);
+    EXPECT_EQ(sharded.report_json, serial.report_json)
+        << "report diverged at " << shards << " shards";
+    EXPECT_EQ(sharded.routed, serial.routed);
+    EXPECT_EQ(sharded.forwarded, serial.forwarded);
+    EXPECT_EQ(sharded.warm, serial.warm);
+    EXPECT_EQ(sharded.cold, serial.cold);
+    EXPECT_GT(sharded.windows, 0u);
   }
 }
 
@@ -112,38 +105,11 @@ TEST(ShardedCluster, ShortSlicesMatchAndReuseFlightRings) {
   auto trace = small_cluster_trace();
   auto coarse = run_cluster(2, trace, LbPolicy::ChBl);
   const std::size_t rings_before = flight::Recorder::instance().ring_count();
-  auto fine = run_cluster(2, trace, LbPolicy::ChBl, Placement::kRoundRobin,
-                          secs(1));
+  auto fine = run_cluster(2, trace, LbPolicy::ChBl, secs(1));
   EXPECT_EQ(fine.report_json, coarse.report_json);
   EXPECT_EQ(fine.routed, coarse.routed);
   EXPECT_LE(flight::Recorder::instance().ring_count(), rings_before + 1)
       << "flight rings must not accumulate across run_for calls";
-}
-
-TEST(ShardedCluster, AssignShardsRoundRobinStripes) {
-  auto map = assign_shards(Placement::kRoundRobin, 8, 3, 16);
-  ASSERT_EQ(map.size(), 8u);
-  for (std::size_t w = 0; w < map.size(); ++w) EXPECT_EQ(map[w], w % 3);
-}
-
-TEST(ShardedCluster, AssignShardsLocalityIsABalancedPartition) {
-  const std::size_t workers = 10, shards = 3;
-  auto map = assign_shards(Placement::kLocality, workers, shards, 16);
-  ASSERT_EQ(map.size(), workers);
-  std::vector<std::size_t> sizes(shards, 0);
-  for (std::size_t s : map) {
-    ASSERT_LT(s, shards);
-    ++sizes[s];
-  }
-  const std::size_t ceil_chunk = (workers + shards - 1) / shards;
-  for (std::size_t s = 0; s < shards; ++s) {
-    EXPECT_GE(sizes[s], 1u) << "no shard may be empty when W >= S";
-    EXPECT_LE(sizes[s], ceil_chunk);
-  }
-  // Deterministic: a pure function of its arguments.
-  EXPECT_EQ(map, assign_shards(Placement::kLocality, workers, shards, 16));
-  EXPECT_EQ(std::string("locality"), to_string(Placement::kLocality));
-  EXPECT_EQ(std::string("roundrobin"), to_string(Placement::kRoundRobin));
 }
 
 TEST(ShardedCluster, EquivalenceHoldsForEveryPolicy) {

@@ -123,9 +123,10 @@ TEST(SlidingRateMeter, CountsWithinWindowOnly) {
   m.record(secs(0));
   m.record(secs(5));
   m.record(secs(9));
-  EXPECT_EQ(m.count_in_window(secs(9)), 3u);
-  EXPECT_EQ(m.count_in_window(secs(11)), 2u);  // t=0 expired
-  EXPECT_EQ(m.count_in_window(secs(25)), 0u);
+  // Before a full window the span observed so far (9 s) is the divisor.
+  EXPECT_DOUBLE_EQ(m.rate_per_sec(secs(9)), 3.0 / 9.0);
+  EXPECT_DOUBLE_EQ(m.rate_per_sec(secs(11)), 2.0 / 10.0);  // t=0 expired
+  EXPECT_DOUBLE_EQ(m.rate_per_sec(secs(25)), 0.0);
 }
 
 TEST(SlidingRateMeter, RatePerSecond) {
@@ -205,20 +206,21 @@ TEST(BucketHistogram, QuantileLowerBoundFlooredAtZero) {
 TEST(BucketHistogram, OverflowClampsToLastBucket) {
   BucketHistogram h(1.0, 4);
   h.add(100.0);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-  EXPECT_DOUBLE_EQ(h.overflow_fraction(), 1.0);
+  EXPECT_EQ(h.total(), 1u);
+  EXPECT_DOUBLE_EQ(h.quantile_lower_bound(1.0), 3.0);  // bucket [3, 4)
+  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(1.0), 4.0);
 }
 
 TEST(BucketHistogram, NegativeClampsToFirstBucket) {
   BucketHistogram h(1.0, 4);
   h.add(-5.0);
-  EXPECT_EQ(h.bucket_count(0), 1u);
+  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(1.0), 1.0);  // bucket [0, 1)
 }
 
 TEST(BucketHistogram, EmptyQuantileIsZero) {
   BucketHistogram h(1.0, 4);
   EXPECT_DOUBLE_EQ(h.quantile_upper_bound(0.99), 0.0);
-  EXPECT_DOUBLE_EQ(h.overflow_fraction(), 0.0);
+  EXPECT_DOUBLE_EQ(h.quantile_lower_bound(0.99), 0.0);
 }
 
 TEST(BucketHistogram, ResetClears) {
@@ -226,7 +228,7 @@ TEST(BucketHistogram, ResetClears) {
   h.add(1.5);
   h.reset();
   EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.bucket_count(1), 0u);
+  EXPECT_DOUBLE_EQ(h.quantile_upper_bound(1.0), 0.0);
 }
 
 }  // namespace

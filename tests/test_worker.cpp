@@ -282,6 +282,99 @@ TEST_F(FailedCreateWakesParked, AfterAFailedPrewarm) {
   EXPECT_EQ(w_.failures(), 1u) << "a failed prewarm is not an invocation";
 }
 
+/// A 1,024 MB worker with no free buffer keeps three idle 256 MB containers
+/// warm; then a 2,048 MB function arrives, which no eviction can fit.
+TEST(OversizeFunction, FailsAtOnceWithoutEvicting) {
+  WorkerConfig cfg = base_config();
+  cfg.memory_mb = 1024;
+  cfg.pool.free_buffer_mb = 0;
+  SimRuntime rt;
+  Worker w(rt, cfg);
+  auto small = w.register_function(FunctionProfile{
+      .name = "small", .mem_mb = 256, .warm_time = msecs(10),
+      .init_time = msecs(100)});
+  auto huge = w.register_function(FunctionProfile{
+      .name = "huge", .mem_mb = 2048, .warm_time = msecs(10),
+      .init_time = msecs(100)});
+  w.start();
+  int small_done = 0;
+  for (int i = 0; i < 3; ++i) {
+    w.invoke(small, [&](const InvokeResult& r) { small_done += r.success; });
+  }
+  rt.run_for(secs(5));
+  ASSERT_EQ(small_done, 3);
+  ASSERT_EQ(w.pool().idle_count(), 3u);
+
+  std::optional<InvokeResult> huge_result;
+  w.invoke(huge, [&](const InvokeResult& r) { huge_result = r; });
+  rt.run_for(secs(600));
+  ASSERT_TRUE(huge_result.has_value())
+      << "the oversize invocation parked forever";
+  EXPECT_FALSE(huge_result->success);
+  EXPECT_EQ(w.failures(), 1u);
+  EXPECT_EQ(w.pool().evictions(), 0u) << "evicted warm containers for nothing";
+  EXPECT_EQ(w.status().running, 0u);
+  EXPECT_EQ(w.status().queue_len, 0u);
+  w.shutdown();
+}
+
+/// A 512 MB worker with no free buffer prewarms B (512 MB); 1 ms later an
+/// invocation parks on memory behind that create. The prewarmed container
+/// landing idle must wake it.
+class PrewarmWakesParked : public ::testing::Test {
+ protected:
+  static WorkerConfig config() {
+    WorkerConfig cfg = base_config();
+    cfg.memory_mb = 512;
+    cfg.pool.free_buffer_mb = 0;
+    return cfg;
+  }
+
+  PrewarmWakesParked() : w_(rt_, config()) {
+    a_ = w_.register_function(FunctionProfile{
+        .name = "a", .mem_mb = 256, .warm_time = msecs(10),
+        .init_time = msecs(100)});
+    b_ = w_.register_function(FunctionProfile{
+        .name = "b", .mem_mb = 512, .warm_time = msecs(10),
+        .init_time = msecs(100)});
+    w_.start();
+  }
+  ~PrewarmWakesParked() override { w_.shutdown(); }
+
+  /// Prewarm B, invoke `fn` 1 ms later, run 600 s of virtual time.
+  std::optional<InvokeResult> prewarm_b_then_invoke(FunctionId fn) {
+    std::optional<InvokeResult> out;
+    w_.prewarm(b_, [](bool ok) { EXPECT_TRUE(ok); });
+    rt_.schedule(msecs(1), [&] {
+      w_.invoke(fn, [&](const InvokeResult& r) { out = r; });
+    });
+    rt_.run_for(secs(600));
+    EXPECT_EQ(w_.status().running, 0u);
+    EXPECT_EQ(w_.status().queue_len, 0u);
+    return out;
+  }
+
+  SimRuntime rt_;
+  Worker w_;
+  FunctionId a_ = 0;
+  FunctionId b_ = 0;
+};
+
+TEST_F(PrewarmWakesParked, SameFunctionRunsWarm) {
+  auto r = prewarm_b_then_invoke(b_);
+  ASSERT_TRUE(r.has_value()) << "stranded beside an idle warm container";
+  EXPECT_TRUE(r->success);
+  EXPECT_FALSE(r->cold);
+}
+
+TEST_F(PrewarmWakesParked, OtherFunctionEvictsThePrewarm) {
+  auto r = prewarm_b_then_invoke(a_);
+  ASSERT_TRUE(r.has_value()) << "stranded behind an idle, evictable container";
+  EXPECT_TRUE(r->success);
+  EXPECT_TRUE(r->cold);
+  EXPECT_EQ(w_.pool().evictions(), 1u);
+}
+
 TEST_F(WorkerTest, BypassShortFunctions) {
   WorkerConfig cfg = base_config();
   cfg.bypass_threshold = secs(1);  // pyaes warm 300 ms qualifies

@@ -149,7 +149,8 @@ TEST(WorkerIntegration, EnergyMeterTracksWorkerLoad) {
 TEST(WorkerIntegration, SnapshotBackendCutsRepeatColdStarts) {
   WorkerConfig cfg = small_cfg();
   cfg.backend.snapshot_cold_starts = true;
-  cfg.backend.snapshot_restore = LatencyModel::constant(msecs(60));
+  cfg.backend.snapshot_restore =
+      LatencyModel::shifted(msecs(60), LatencyModel::zero());
   cfg.keepalive_policy = "TTL";
   SimRuntime rt;
   Worker w(rt, cfg);

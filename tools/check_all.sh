@@ -58,13 +58,13 @@ run_config werror -DILU_WERROR=ON
 
 # 1b. Shard-synchronization gates on the werror build (DESIGN.md §9/§16):
 #     a focused re-run of the sharded suites, then the cluster equivalence
-#     check under CH-BL locality placement — byte-identical reports or a
-#     non-zero exit. Kept to 2 shards so this stays seconds-scale; the full
-#     placement matrix is the bench's default.
+#     check — byte-identical reports or a non-zero exit. Kept to 2 shards so
+#     this stays seconds-scale; the full shard-count matrix is the bench's
+#     default.
 echo "==> [sync-gates] ctest -L sharded"
 (cd "$root/werror" && ctest -L sharded -j "$jobs" --output-on-failure) || exit 1
-echo "==> [sync-gates] cluster_scaling --shards 2 --placement locality"
-"$root/werror/bench/cluster_scaling" --shards 2 --placement locality || exit 1
+echo "==> [sync-gates] cluster_scaling --shards 2"
+"$root/werror/bench/cluster_scaling" --shards 2 || exit 1
 
 # 1c. Reproduction tier: the keep-alive figures regenerate byte for byte
 #     into the committed results/ CSVs.

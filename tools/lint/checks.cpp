@@ -609,6 +609,10 @@ const std::vector<CheckInfo>& checks() {
        "project includes must follow util → common → obs/metrics → "
        "trace/runtime → containers/keepalive/queueing → core/lb/baseline "
        "→ exp; back-edges and include cycles are findings"},
+      {"test-only-api",
+       "every public function declared in a src/ header is named by code "
+       "outside tests/ (src/, bench/, examples/, tools/, perfbench/); "
+       "--root tree mode only, since --src and --file cannot see callers"},
   };
   return kChecks;
 }
@@ -635,7 +639,8 @@ void run_per_file_checks(const LexResult& lr, const FileInput& in,
 
 }  // namespace
 
-std::vector<Finding> lint_inputs(const std::vector<FileInput>& ins) {
+std::vector<Finding> lint_inputs(const std::vector<FileInput>& ins,
+                                 const std::vector<FileInput>* callers) {
   std::vector<Finding> out;  // malformed directives: unsuppressible
   std::vector<Finding> raw;
   std::vector<FileModel> models;
@@ -658,6 +663,15 @@ std::vector<Finding> lint_inputs(const std::vector<FileInput>& ins) {
 
   RepoModel model = build_repo_model(std::move(models));
   run_cross_checks(model, raw);
+  if (callers != nullptr) {
+    std::vector<FileModel> caller_models;
+    caller_models.reserve(callers->size());
+    std::vector<Finding> sink;  // their directives govern nothing here
+    for (const FileInput& in : *callers) {
+      caller_models.push_back(extract_file(in, lex(in.content), sink));
+    }
+    check_test_only_api(model, caller_models, raw);
+  }
 
   for (Finding& f : raw) {
     bool suppressed = false;
@@ -684,10 +698,14 @@ std::vector<Finding> lint_file(const FileInput& in) {
   return lint_inputs({in});
 }
 
-std::vector<FileInput> load_tree(const std::string& src_root) {
-  namespace fs = std::filesystem;
+namespace {
+
+namespace fs = std::filesystem;
+
+/// Every C++ source under `dir`, sorted by path.
+std::vector<fs::path> source_files(const fs::path& dir) {
   std::vector<fs::path> files;
-  for (const auto& e : fs::recursive_directory_iterator(src_root)) {
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
     if (!e.is_regular_file()) continue;
     fs::path p = e.path();
     if (p.extension() == ".hpp" || p.extension() == ".cpp" ||
@@ -696,17 +714,21 @@ std::vector<FileInput> load_tree(const std::string& src_root) {
     }
   }
   std::sort(files.begin(), files.end());
+  return files;
+}
 
-  auto slurp = [](const fs::path& p) {
-    std::ifstream f(p, std::ios::binary);
-    std::ostringstream ss;
-    ss << f.rdbuf();
-    return ss.str();
-  };
+std::string slurp(const fs::path& p) {
+  std::ifstream f(p, std::ios::binary);
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
 
+}  // namespace
+
+std::vector<FileInput> load_tree(const std::string& src_root) {
   std::vector<FileInput> out;
-  out.reserve(files.size());
-  for (const fs::path& p : files) {
+  for (const fs::path& p : source_files(src_root)) {
     FileInput in;
     in.rel_path = p.lexically_relative(src_root).generic_string();
     in.content = slurp(p);
@@ -716,6 +738,18 @@ std::vector<FileInput> load_tree(const std::string& src_root) {
       if (fs::exists(header)) in.paired_header = slurp(header);
     }
     out.push_back(std::move(in));
+  }
+  return out;
+}
+
+std::vector<FileInput> load_callers(const std::string& root) {
+  std::vector<FileInput> out;
+  for (const char* dir : {"bench", "examples", "perfbench", "tests", "tools"}) {
+    if (!fs::is_directory(fs::path(root) / dir)) continue;
+    for (const fs::path& p : source_files(fs::path(root) / dir)) {
+      out.push_back({p.lexically_relative(root).generic_string(), slurp(p),
+                     {}});
+    }
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #include "lint/cross_checks.hpp"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "lint/support.hpp"
@@ -388,7 +389,45 @@ void check_layering(const RepoModel& m, std::vector<Finding>& out) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// test-only-api
+// ---------------------------------------------------------------------------
+
+bool is_header(std::string_view rel) {
+  return ends_with(rel, ".hpp") || ends_with(rel, ".h");
+}
+
 }  // namespace
+
+void check_test_only_api(const RepoModel& m,
+                         const std::vector<FileModel>& callers,
+                         std::vector<Finding>& out) {
+  std::set<std::string> used;     // named by src/ or a non-test caller
+  std::set<std::string> in_tests;  // named by tests/
+  for (const FileModel& f : m.files) {
+    used.insert(f.used_names.begin(), f.used_names.end());
+  }
+  for (const FileModel& f : callers) {
+    auto& into = starts_with(f.rel_path, "tests/") ? in_tests : used;
+    into.insert(f.used_names.begin(), f.used_names.end());
+  }
+  for (const FileModel& f : m.files) {
+    if (!is_header(f.rel_path)) continue;
+    for (const FnDecl& d : f.fn_decls) {
+      if (!d.is_public || used.count(d.name) > 0) continue;
+      std::string qual = d.cls.empty() ? d.name : d.cls + "::" + d.name;
+      out.push_back(
+          {f.rel_path, d.line, "test-only-api",
+           "`" + qual + "` is public but " +
+               (in_tests.count(d.name) > 0
+                    ? "named only by tests/"
+                    : "named nowhere outside its declaration and definition") +
+               " — delete it (and state only it reads), or mark a "
+               "deliberate test hook `// ilu-lint: allow(test-only-api) - "
+               "<reason>`"});
+    }
+  }
+}
 
 Digraph build_lock_graph(
     const RepoModel& m,

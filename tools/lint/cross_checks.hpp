@@ -9,8 +9,9 @@
 #include "lint/lint.hpp"
 #include "lint/model.hpp"
 
-/// The four whole-repo checks run over a RepoModel: lock-order,
-/// atomics-discipline, blocking-under-lock, include-layering. See
+/// The whole-repo checks run over a RepoModel: lock-order,
+/// atomics-discipline, blocking-under-lock, include-layering, and (tree
+/// mode only) test-only-api. See
 /// cross_checks.cpp for the rules and DESIGN.md §15 for the rationale.
 namespace ilu::lint {
 
@@ -29,7 +30,16 @@ Digraph build_lock_graph(
     const RepoModel& m,
     std::map<std::pair<std::string, std::string>, LockEdge>* edges);
 
-/// Run all four cross-TU checks, appending findings to `out`.
+/// Run the four cross-TU checks that need no callers, appending findings
+/// to `out`.
 void run_cross_checks(const RepoModel& m, std::vector<Finding>& out);
+
+/// test-only-api: every public function declared in a src/ header that no
+/// identifier outside tests/ names. `callers` are the files outside src/
+/// (root-relative paths; those under tests/ only word the message). Bare
+/// names match, so overloads and same-named functions share fate.
+void check_test_only_api(const RepoModel& m,
+                         const std::vector<FileModel>& callers,
+                         std::vector<Finding>& out);
 
 }  // namespace ilu::lint

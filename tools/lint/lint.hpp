@@ -55,6 +55,14 @@
 ///                         util → common → obs/metrics → trace/runtime →
 ///                         containers/keepalive/queueing → core/lb/baseline
 ///                         → exp; back-edges and cycles are findings.
+///   test-only-api         a public function (member, static member or
+///                         namespace-scope; not a constructor, destructor or
+///                         operator) declared in a src/ header that no
+///                         identifier token outside tests/ names — in src/,
+///                         bench/, examples/, tools/ or perfbench/, its own
+///                         declaration and definition excluded. Bare names
+///                         match, so overloads share fate. Runs only when
+///                         the callers are loaded (`--root` tree mode).
 ///
 /// Suppression: a finding on line L is suppressed by a comment on L (or a
 /// comment-only line immediately above) of the form
@@ -102,9 +110,13 @@ struct FileInput {
 
 /// Lint a set of files together: per-file checks on each, then the four
 /// cross-TU checks over the whole set (the lock graph, atomic visibility
-/// and include graph span exactly these inputs). Returns unsuppressed
-/// findings plus any malformed directives, sorted by (path, line, check).
-std::vector<Finding> lint_inputs(const std::vector<FileInput>& ins);
+/// and include graph span exactly these inputs), then test-only-api when
+/// `callers` (the files outside src/, see load_callers) is given. Returns
+/// unsuppressed findings plus any malformed directives, sorted by (path,
+/// line, check).
+std::vector<Finding> lint_inputs(const std::vector<FileInput>& ins,
+                                 const std::vector<FileInput>* callers =
+                                     nullptr);
 
 /// Lint one file alone — `lint_inputs({in})`. Cross-TU checks degrade
 /// gracefully to the facts visible in this single TU.
@@ -113,6 +125,10 @@ std::vector<Finding> lint_file(const FileInput& in);
 /// Load every .hpp/.cpp under `src_root` as FileInputs with paths relative
 /// to `src_root`, sorted by path, with paired headers attached.
 std::vector<FileInput> load_tree(const std::string& src_root);
+
+/// Load every .hpp/.cpp under `<root>/{bench,examples,perfbench,tests,
+/// tools}` with paths relative to `root`: the code that may call into src/.
+std::vector<FileInput> load_callers(const std::string& root);
 
 /// Recursively lint every .hpp/.cpp under `src_root`. Findings carry paths
 /// relative to `src_root` and are sorted by (path, line). `files_scanned`

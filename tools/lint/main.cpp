@@ -1,14 +1,17 @@
 // ilu-lint — determinism & concurrency static analysis for this repo.
 //
-//   ilu-lint [--root DIR]      lint <DIR>/src (default: .)
-//   ilu-lint --src DIR         lint DIR directly
+//   ilu-lint [--root DIR]      lint <DIR>/src (default: .), reading
+//                              <DIR>/{bench,examples,perfbench,tests,tools}
+//                              for test-only-api's callers
+//   ilu-lint --src DIR         lint DIR directly (no test-only-api)
 //   ilu-lint --file F [F...]   lint individual files (pre-commit mode);
 //                              paths outside a src/ tree are skipped, since
 //                              the checks only govern simulation code. All
 //                              staged files are analyzed as one batch, so
 //                              the cross-TU checks see whatever lock/include
 //                              facts the batch contains (single-TU facts
-//                              when one file is staged).
+//                              when one file is staged); test-only-api is
+//                              skipped, since callers are not staged.
 //   ilu-lint --list-checks     print the check catalogue
 //   ilu-lint --json            emit findings as a JSON array (stdout)
 //   ilu-lint --sarif           emit SARIF 2.1.0 (stdout; CI annotation)
@@ -213,14 +216,21 @@ int main(int argc, char** argv) {
     return findings.empty() ? 0 : 1;
   }
 
-  if (src.empty()) src = root + "/src";
+  // Tree mode: only --root knows where the callers of src/ live.
+  std::vector<ilu::lint::FileInput> callers;
+  const bool with_callers = src.empty();
+  if (with_callers) {
+    src = root + "/src";
+    callers = ilu::lint::load_callers(root);
+  }
   if (!fs::is_directory(src)) {
     std::fprintf(stderr, "ilu-lint: no such directory: %s\n", src.c_str());
     return 2;
   }
 
   auto ins = ilu::lint::load_tree(src);
-  auto findings = ilu::lint::lint_inputs(ins);
+  auto findings =
+      ilu::lint::lint_inputs(ins, with_callers ? &callers : nullptr);
   std::vector<std::pair<std::string, std::string>> display;
   display.reserve(ins.size());
   for (const auto& in : ins) {
@@ -235,7 +245,9 @@ int main(int argc, char** argv) {
     }
     out << ilu::lint::lock_order_dot(ins);
   }
-  std::fprintf(stderr, "ilu-lint: %zu file(s) scanned, %zu finding(s)\n",
-               ins.size(), findings.size());
+  std::fprintf(stderr,
+               "ilu-lint: %zu file(s) scanned, %zu caller file(s) read, "
+               "%zu finding(s)\n",
+               ins.size(), callers.size(), findings.size());
   return findings.empty() ? 0 : 1;
 }

@@ -100,12 +100,24 @@ std::string_view receiver_before(const Tokens& ts, std::size_t i) {
   return ts[j].kind == Tok::Identifier ? ts[j].text : std::string_view{};
 }
 
+/// Builtin type keywords that can end a declaration's return type
+/// (`void f()`, `auto g() -> T`); other keywords before a name and `(` make
+/// it a call, a cast or a specifier (`return f()`, `explicit Foo()`).
+bool is_type_keyword(std::string_view id) {
+  return id == "void" || id == "bool" || id == "char" || id == "int" ||
+         id == "long" || id == "short" || id == "unsigned" ||
+         id == "signed" || id == "float" || id == "double" || id == "auto" ||
+         id == "const";
+}
+
 /// Scope stack entry. Only one function scope can be live at a time (braces
 /// inside it — control flow, lambdas, local classes — classify as Block).
 struct Scope {
   enum Kind { Ns, Class, Fn, Block, Opaque } kind = Block;
   std::string name;
   std::size_t fn_index = static_cast<std::size_t>(-1);
+  bool pub = true;      // Class: the access of the current section
+  bool exposed = true;  // Class: itself reachable from outside
 };
 
 class Extractor {
@@ -115,42 +127,51 @@ class Extractor {
 
   FileModel run() {
     out_.rel_path = in_.rel_path;
-    scan_includes();
+    scan_directives();
     walk();
     attach_orphan_orders();
+    collect_used_names();
     return std::move(out_);
   }
 
  private:
-  // -- includes (raw text: the lexer strips preprocessor lines) ------------
-  void scan_includes() {
+  // -- directives (raw text: the lexer strips preprocessor lines) ---------
+  /// Quoted includes, and the identifiers of `#define` bodies: a macro
+  /// that calls a function is a use wherever the macro expands.
+  void scan_directives() {
     const std::string& s = in_.content;
     int line = 1;
     std::size_t pos = 0;
     while (pos < s.size()) {
-      std::size_t eol = s.find('\n', pos);
-      if (eol == std::string::npos) eol = s.size();
-      std::string_view l(s.data() + pos, eol - pos);
-      auto skip_ws = [&](std::size_t k) {
-        while (k < l.size() && (l[k] == ' ' || l[k] == '\t')) ++k;
-        return k;
-      };
-      std::size_t k = skip_ws(0);
-      if (k < l.size() && l[k] == '#') {
-        k = skip_ws(k + 1);
-        if (l.substr(k, 7) == "include") {
-          k = skip_ws(k + 7);
-          if (k < l.size() && l[k] == '"') {
-            std::size_t end = l.find('"', k + 1);
-            if (end != std::string_view::npos) {
-              out_.includes.emplace_back(
-                  std::string(l.substr(k + 1, end - k - 1)), line);
-            }
+      const int first_line = line;
+      std::string logical;  // `\`-continued physical lines, joined
+      for (bool cont = true; cont && pos < s.size(); ++line) {
+        std::size_t eol = s.find('\n', pos);
+        if (eol == std::string::npos) eol = s.size();
+        std::size_t end = eol;
+        if (end > pos && s[end - 1] == '\r') --end;
+        cont = end > pos && s[end - 1] == '\\';
+        logical.append(s, pos, end - pos - (cont ? 1 : 0));
+        pos = eol + 1;
+      }
+      std::string_view l = trim(logical);
+      if (l.empty() || l.front() != '#') continue;
+      l = trim(l.substr(1));
+      if (starts_with(l, "include")) {
+        l = trim(l.substr(7));
+        std::size_t end = l.find('"', 1);
+        if (!l.empty() && l.front() == '"' && end != std::string_view::npos) {
+          out_.includes.emplace_back(std::string(l.substr(1, end - 1)),
+                                     first_line);
+        }
+      } else if (starts_with(l, "define")) {
+        LexResult body = lex(l.substr(6));
+        for (std::size_t i = 1; i < body.tokens.size(); ++i) {  // [0]: name
+          if (body.tokens[i].kind == Tok::Identifier) {
+            out_.used_names.emplace(body.tokens[i].text);
           }
         }
       }
-      pos = eol + 1;
-      ++line;
     }
   }
 
@@ -169,19 +190,33 @@ class Extractor {
     return static_cast<std::size_t>(-1);
   }
 
+  /// The class whose members are in scope: the innermost class body, or,
+  /// inside a function body, the walked function's own class (so an
+  /// out-of-line `void C::f() { ... }` resolves `mu_` and `this` to C).
   std::string innermost_class() const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       if (it->kind == Scope::Class) return it->name;
-      if (it->kind == Scope::Fn) break;
+      if (it->kind == Scope::Fn) return out_.functions[it->fn_index].cls;
     }
     return {};
+  }
+
+  /// Would a declaration at the current position be reachable from
+  /// outside: at namespace scope, or in a public section of an exposed
+  /// class.
+  bool at_public_scope() const {
+    if (scopes_.empty() || scopes_.back().kind == Scope::Ns) return true;
+    const Scope& s = scopes_.back();
+    return s.kind == Scope::Class && s.pub && s.exposed;
   }
 
   void walk() {
     for (std::size_t i = 0; i < ts_.size(); ++i) {
       const Token& t = ts_[i];
       if (is_punct(t, "{")) {
-        scopes_.push_back(classify_brace(i));
+        Scope s = classify_brace(i);
+        if (s.kind == Scope::Class) s.exposed = at_public_scope();
+        scopes_.push_back(std::move(s));
         continue;
       }
       if (is_punct(t, "}")) {
@@ -207,6 +242,8 @@ class Extractor {
       } else {
         detect_lock_decl(i, /*local=*/false);
         detect_member_type(i);
+        detect_access(i);
+        detect_fn_decl(i);
       }
     }
     // Unterminated file: close whatever is still open at EOF.
@@ -250,6 +287,7 @@ class Extractor {
       }
       std::size_t k = open - 1;
       if (ts_[k].kind != Tok::Identifier) return {Scope::Block, {}, {}};
+      const std::size_t name_tok = k;
       std::string name(ts_[k].text);
       std::string cls;
       while (k >= 2 && is_punct(ts_[k - 1], "::") &&
@@ -269,7 +307,7 @@ class Extractor {
       }
       if (cpp_keywords().count(name) > 0) return {Scope::Block, {}, {}};
       if (cls.empty()) cls = innermost_class();
-      return open_fn(name, cls, ts_[k].line, i);
+      return open_fn(name, cls, ts_[k].line, name_tok, i);
     }
     // `namespace N {` / `class C {` / `struct S {` — scan back to the
     // statement boundary for the introducing keyword.
@@ -294,7 +332,9 @@ class Extractor {
         if (m < ts_.size() && ts_[m].kind == Tok::Identifier) {
           name = std::string(ts_[m].text);
         }
-        return {Scope::Class, name, {}};
+        Scope cs{Scope::Class, name, {}};
+        cs.pub = !is_id(t, "class");
+        return cs;
       }
       if (is_id(t, "enum")) return {Scope::Opaque, {}, {}};
     }
@@ -302,12 +342,13 @@ class Extractor {
   }
 
   Scope open_fn(const std::string& name, const std::string& cls, int line,
-                std::size_t body_open) {
+                std::size_t name_tok, std::size_t body_open) {
     FunctionModel fn;
     fn.name = name;
     fn.cls = cls;
     fn.qual = cls.empty() ? name : cls + "::" + name;
     fn.line = line;
+    fn.name_tok = name_tok;
     fn.tok_begin = body_open;
     out_.functions.push_back(std::move(fn));
     local_types_.clear();
@@ -567,6 +608,7 @@ class Extractor {
         c.receiver_type = innermost_class();
       } else {
         c.receiver_type = resolve_type(base);
+        c.receiver_var = std::string(base);
       }
     } else if (i >= 2 && is_punct(ts_[i - 1], "::") &&
                ts_[i - 2].kind == Tok::Identifier) {
@@ -615,6 +657,50 @@ class Extractor {
   }
 
   // -- declarations --------------------------------------------------------
+  /// `public:` / `protected:` / `private:` in a class body.
+  void detect_access(std::size_t i) {
+    if (scopes_.empty() || scopes_.back().kind != Scope::Class) return;
+    if (i + 1 >= ts_.size() || !is_punct(ts_[i + 1], ":")) return;
+    std::string_view id = ts_[i].text;
+    if (id == "public") scopes_.back().pub = true;
+    if (id == "protected" || id == "private") scopes_.back().pub = false;
+  }
+
+  /// `<type> name(` directly in a class or namespace body declares a
+  /// function. Constructors (`Foo(`, `explicit Foo(`), destructors (`~Foo(`)
+  /// and operators (`operator==(`) have no type before the name and are
+  /// not recorded; neither are calls in initializers (`= make(`).
+  void detect_fn_decl(std::size_t i) {
+    if (!scopes_.empty() && scopes_.back().kind != Scope::Ns &&
+        scopes_.back().kind != Scope::Class) {
+      return;
+    }
+    if (i == 0 || i + 1 >= ts_.size() || !is_punct(ts_[i + 1], "(")) return;
+    std::string_view id = ts_[i].text;
+    if (cpp_keywords().count(id) > 0) return;
+    const Token& p = ts_[i - 1];
+    bool after_type =
+        is_punct(p, ">") || is_punct(p, "*") || is_punct(p, "&") ||
+        (p.kind == Tok::Identifier &&
+         (cpp_keywords().count(p.text) == 0 || is_type_keyword(p.text)));
+    if (!after_type) return;
+    std::string cls = innermost_class();
+    if (id == cls) return;
+    out_.fn_decls.push_back(
+        {std::string(id), cls, ts_[i].line, i, at_public_scope()});
+  }
+
+  void collect_used_names() {
+    std::set<std::size_t> naming;
+    for (const FnDecl& d : out_.fn_decls) naming.insert(d.tok);
+    for (const FunctionModel& fn : out_.functions) naming.insert(fn.name_tok);
+    for (std::size_t i = 0; i < ts_.size(); ++i) {
+      if (ts_[i].kind == Tok::Identifier && naming.count(i) == 0) {
+        out_.used_names.emplace(ts_[i].text);
+      }
+    }
+  }
+
   void detect_lock_decl(std::size_t i, bool local) {
     std::string_view id = ts_[i].text;
     if (!is_lock_type(id)) return;
@@ -871,6 +957,35 @@ RepoModel build_repo_model(std::vector<FileModel> files) {
   m.files = std::move(files);
   for (std::size_t i = 0; i < m.files.size(); ++i) {
     m.by_path[m.files[i].rel_path] = i;
+  }
+  // Class -> member -> type over every file: a method defined in foo.cpp
+  // reads the members foo.hpp declares.
+  std::map<std::string, std::map<std::string, std::string>> member_types;
+  for (const FileModel& f : m.files) {
+    for (const auto& [cls, members] : f.member_types) {
+      member_types[cls].insert(members.begin(), members.end());
+    }
+  }
+  auto member_type = [&](const std::string& cls, const std::string& var) {
+    auto ct = member_types.find(cls);
+    if (ct == member_types.end()) return std::string();
+    auto mt = ct->second.find(var);
+    return mt == ct->second.end() ? std::string() : mt->second;
+  };
+  for (FileModel& f : m.files) {
+    for (FunctionModel& fn : f.functions) {
+      if (fn.cls.empty()) continue;
+      for (CallSite& c : fn.calls) {
+        if (c.receiver_type.empty() && !c.receiver_var.empty()) {
+          c.receiver_type = member_type(fn.cls, c.receiver_var);
+        }
+      }
+      for (LockSite& s : fn.locks) {
+        if (s.base_type.empty() && !s.base_expr.empty()) {
+          s.base_type = member_type(fn.cls, s.base_expr);
+        }
+      }
+    }
   }
   for (const FileModel& f : m.files) {
     for (const LockDecl& d : f.lock_decls) {

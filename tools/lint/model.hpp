@@ -35,6 +35,10 @@ struct CallSite {
   int line = 0;
   std::string callee;
   std::string receiver_type;
+  /// The receiver variable of `x.f()` / `x->f()` ("" for `this->f()` and
+  /// `T::f()`); when it names a member declared in another file (the
+  /// class's header), pass 2 resolves receiver_type through it.
+  std::string receiver_var;
   /// True for method-style calls (`x.f()`, `x->f()`, `T::f()`). A true
   /// flag with empty receiver_type means the receiver could not be
   /// resolved — such calls only match a repo-unique bare name (guessing
@@ -73,6 +77,7 @@ struct FunctionModel {
   std::string qual;  // "Class::name" when the class is known, else name
   std::string cls;   // declaring class ("" for free functions)
   int line = 0;
+  std::size_t name_tok = 0;                // token index of `name`
   std::size_t tok_begin = 0, tok_end = 0;  // body token range
   std::vector<CallSite> calls;
   std::vector<BlockingOp> blocking;
@@ -80,6 +85,19 @@ struct FunctionModel {
   /// Function-local lock declarations: name -> canonical id
   /// ("<rel>::<fn>::<name>"), consulted before member resolution.
   std::map<std::string, std::string> local_locks;
+};
+
+/// A function declared at class or namespace scope (outside any function
+/// body), with or without a body. Constructors, destructors and operators
+/// are not recorded.
+struct FnDecl {
+  std::string name;
+  std::string cls;  // declaring class ("" at namespace scope)
+  int line = 0;
+  std::size_t tok = 0;  // token index of `name`
+  /// Reachable from outside the class: declared at namespace scope, or in a
+  /// public section of a class that is itself publicly reachable.
+  bool is_public = false;
 };
 
 /// A mutex/SpinLock declaration at class or namespace scope.
@@ -102,6 +120,11 @@ struct FileModel {
   std::vector<AtomicOp> atomic_ops;
   std::vector<FloorPragma> floors;
   std::vector<FunctionModel> functions;
+  std::vector<FnDecl> fn_decls;
+  /// Every identifier this file names, except where a function is being
+  /// declared (fn_decls) or defined (functions): the uses test-only-api
+  /// counts.
+  std::set<std::string> used_names;
   std::vector<Suppression> suppressions;
 };
 
