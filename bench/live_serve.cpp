@@ -75,10 +75,11 @@ struct StatusTimer {
     if (print) {
       std::fprintf(stderr,
                    "[t=%.1fs] completed %llu cold %llu queue %zu inflight %zu"
-                   " | executed %.0f/s pending %llu"
+                   " parked %zu | executed %.0f/s pending %llu"
                    " | submitted %.0f/s finished %.0f/s\n",
                    to_sec(rt.now()), static_cast<ull>(w.completed()),
                    static_cast<ull>(w.cold_starts()), st.queue_len, st.running,
+                   st.parked,
                    static_cast<double>(e - executed) / dt,
                    static_cast<ull>(rt.pending()),
                    static_cast<double>(sub - submitted) / dt,

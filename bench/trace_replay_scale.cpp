@@ -23,8 +23,6 @@
 // --bench-out appends a run record (label, gen/replay events/s, peak RSS)
 // to the BENCH_core.json ledger, as run_all does.
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,10 +45,20 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// This process image's peak RSS (VmHWM). Not getrusage's ru_maxrss: Linux
+/// carries the pre-exec image's high-water mark into it, so a program
+/// started by a large process (a Python script, say) reads at least that
+/// process's RSS. VmHWM restarts at exec.
 double peak_rss_mb() {
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0.0;
+  char line[256];
+  long kb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return static_cast<double>(kb) / 1024.0;
 }
 
 std::string utc_now_string() {

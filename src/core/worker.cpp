@@ -458,6 +458,7 @@ Worker::Status Worker::status() const {
   Status s;
   s.queue_len = queue_.size();
   s.running = running_;
+  s.parked = waiting_memory_.size();
   s.load_average = cpu_.load_average();
   s.normalized_load = s.load_average / cfg_.cores;
   s.used_mb = pool_.used_mb();

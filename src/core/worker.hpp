@@ -138,6 +138,9 @@ class Worker {
   struct Status {
     std::size_t queue_len = 0;
     std::size_t running = 0;
+    /// Invocations parked until memory frees (counted in neither of the
+    /// above).
+    std::size_t parked = 0;
     double load_average = 0.0;
     double normalized_load = 0.0;
     std::uint64_t used_mb = 0;

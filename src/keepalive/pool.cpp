@@ -20,7 +20,8 @@ ContainerPool::~ContainerPool() { stop(); }
 void ContainerPool::start() {
   if (running_ || cfg_.sweep_interval <= Duration::zero()) return;
   running_ = true;
-  schedule_sweep();
+  started_at_ = rt_.now();
+  arm_sweep();
 }
 
 void ContainerPool::stop() {
@@ -31,12 +32,27 @@ void ContainerPool::stop() {
   }
 }
 
-void ContainerPool::schedule_sweep() {
-  sweep_timer_ = rt_.schedule(cfg_.sweep_interval, [this] {
+bool ContainerPool::needs_sweep() const {
+  return !rank_.empty() &&
+         (expiring_ != nullptr || free_mb() < cfg_.free_buffer_mb);
+}
+
+void ContainerPool::arm_sweep() {
+  if (!running_ || sweep_timer_ != Runtime::kInvalidTimer || !needs_sweep()) {
+    return;
+  }
+  // Sweeps run only on the grid started_at_ + k * sweep_interval, so a
+  // sweep armed late acts at the instant a timer re-armed since start()
+  // would have (DESIGN.md §25).
+  const TimePoint now = rt_.now();
+  const Duration interval = cfg_.sweep_interval;
+  const TimePoint at =
+      started_at_ + ((now - started_at_) / interval + 1) * interval;
+  sweep_timer_ = rt_.schedule(at - now, [this] {
     sweep_timer_ = Runtime::kInvalidTimer;
     if (!running_) return;
     sweep(rt_.now());
-    if (running_) schedule_sweep();
+    arm_sweep();
   });
 }
 
@@ -138,6 +154,7 @@ ContainerHandle ContainerPool::add_container(FunctionId fn,
   c.entry.last_used = now;
   c.entry.uses = 0;
   used_mb_ += profile.mem_mb;
+  arm_sweep();
   return h;
 }
 
@@ -156,6 +173,7 @@ void ContainerPool::return_container(ContainerHandle h, TimePoint now) {
   c.entry.last_used = now;
   policy_.on_access(c.entry, now);
   insert_idle(h, c);
+  arm_sweep();
 }
 
 void ContainerPool::park_prewarmed(ContainerHandle h, TimePoint now) {
@@ -166,6 +184,7 @@ void ContainerPool::park_prewarmed(ContainerHandle h, TimePoint now) {
   c.prewarm_parked = true;
   policy_.on_access(c.entry, now);
   insert_idle(h, c);
+  arm_sweep();
 }
 
 void ContainerPool::remove(ContainerHandle h) {
@@ -182,6 +201,7 @@ void ContainerPool::set_capacity_mb(std::uint64_t mb) {
   while (used_mb_ > capacity_mb_ && !rank_.empty()) {
     evict_one(*rank_.peek_min(), /*expired=*/false);
   }
+  arm_sweep();
 }
 
 void ContainerPool::sweep(TimePoint now) {
@@ -211,7 +231,7 @@ void ContainerPool::sweep(TimePoint now) {
   }
 
   // Phase 2: keep a free-memory buffer available for bursts.
-  while (capacity_mb_ - used_mb_ < cfg_.free_buffer_mb && !rank_.empty()) {
+  while (free_mb() < cfg_.free_buffer_mb && !rank_.empty()) {
     evict_one(*rank_.peek_min(), /*expired=*/false);
   }
 }

@@ -13,7 +13,10 @@
 /// available container per function, accounts server memory, and performs
 /// eviction *asynchronously* in a background sweep (§4.3.2) that maintains a
 /// free-memory buffer for invocation bursts — instead of picking victims on
-/// the invoke critical path.
+/// the invoke critical path. The sweep timer is armed only while a sweep can
+/// act (an idle container exists, and the policy expires containers or the
+/// buffer is short), always on the grid start() + k * sweep_interval
+/// (DESIGN.md §25).
 ///
 /// Storage model (DESIGN.md §11): all container records live in a
 /// `ContainerStore` slab and are addressed by `ContainerHandle` — callers
@@ -38,8 +41,8 @@ class ContainerPool {
     /// The background sweep evicts idle containers until at least this much
     /// memory is free (0 disables the buffer).
     std::uint64_t free_buffer_mb = 2048;
-    /// Background sweep cadence; zero disables background eviction entirely
-    /// (the synchronous-eviction ablation).
+    /// Spacing of the grid background sweeps run on; zero disables
+    /// background eviction entirely (the synchronous-eviction ablation).
     Duration sweep_interval = msecs(500);
   };
 
@@ -65,7 +68,7 @@ class ContainerPool {
   ContainerPool(const ContainerPool&) = delete;
   ContainerPool& operator=(const ContainerPool&) = delete;
 
-  /// Begin/end background sweeping.
+  /// Begin/end background sweeping. start() anchors the sweep grid at now.
   void start();
   void stop();
 
@@ -111,7 +114,11 @@ class ContainerPool {
   std::size_t total_count() const { return store_.size(); }
   std::uint64_t used_mb() const { return used_mb_; }
   std::uint64_t capacity_mb() const { return capacity_mb_; }
-  std::uint64_t free_mb() const { return capacity_mb_ - used_mb_; }
+  /// Saturates at 0: set_capacity_mb may drop capacity below what busy
+  /// containers pin.
+  std::uint64_t free_mb() const {
+    return used_mb_ < capacity_mb_ ? capacity_mb_ - used_mb_ : 0;
+  }
   void set_capacity_mb(std::uint64_t mb);
 
   std::uint64_t evictions() const { return evictions_; }
@@ -153,7 +160,14 @@ class ContainerPool {
   void remove_idle(ContainerHandle h, Container& c);
   void evict_one(ContainerHandle h, bool expired);
   bool make_room(std::uint32_t mem_mb);
-  void schedule_sweep();
+  /// True while a sweep can act: an idle container exists, and the policy
+  /// expires containers or free memory is below the buffer.
+  bool needs_sweep() const;
+  /// Arm the sweep timer at the first grid point strictly after now, if the
+  /// pool is running, no sweep is pending and needs_sweep() holds. Every
+  /// state change that can make needs_sweep() true must call it, or work
+  /// waits for the next arming.
+  void arm_sweep();
 
   Runtime& rt_;
   KeepAlivePolicy& policy_;
@@ -180,6 +194,8 @@ class ContainerPool {
   std::vector<ContainerHandle> expired_scratch_;
 
   bool running_ = false;
+  /// Anchor of the sweep grid: the time of the last start().
+  TimePoint started_at_{0};
   Runtime::TimerId sweep_timer_ = Runtime::kInvalidTimer;
   std::uint64_t evictions_ = 0;
   std::uint64_t expirations_ = 0;

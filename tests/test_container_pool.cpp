@@ -193,6 +193,119 @@ TEST_F(ContainerPoolTest, StopCancelsSweepTimer) {
   SUCCEED();
 }
 
+TEST_F(ContainerPoolTest, FreeMemorySaturatesBelowBusyContainers) {
+  // Capacity drops below what three busy 1,024 MB containers pin; free
+  // memory must read 0, not wrap, so the sweep still restores what buffer
+  // it can by evicting the container that goes idle.
+  std::vector<FunctionId> evicted;
+  LruPolicy policy;
+  ContainerPool pool(rt_, policy,
+                     ContainerPool::Config{.capacity_mb = 4096,
+                                           .free_buffer_mb = 2048},
+                     [&](const Container& c) { evicted.push_back(c.fn); });
+  std::vector<ContainerHandle> busy;
+  for (FunctionId fn = 0; fn < 3; ++fn) {
+    busy.push_back(
+        pool.add_container(fn, lookbusy(secs(1), 1024, secs(1)), rt_.now()));
+    pool.launch(busy.back(), rt_.now());
+  }
+  pool.set_capacity_mb(2048);
+  EXPECT_EQ(pool.free_mb(), 0u);
+  pool.return_container(busy[0], secs(1));
+  pool.sweep(secs(2));
+  EXPECT_EQ(evicted, std::vector<FunctionId>{0});
+  EXPECT_EQ(pool.used_mb(), 2048u);
+  EXPECT_EQ(pool.free_mb(), 0u);
+}
+
+TEST_F(ContainerPoolTest, IdlePoolArmsNoSweep) {
+  // The fixture pool never expires containers and keeps no buffer: no
+  // sweep can act, so none is armed, with or without idle containers.
+  pool_.start();
+  EXPECT_EQ(rt_.pending(), 0u);
+  ContainerHandle a = make_running(0, 900);
+  pool_.return_container(a, rt_.now());
+  EXPECT_EQ(rt_.pending(), 0u);
+  pool_.stop();
+
+  // With a buffer, a sweep is armed only once an idle container exists
+  // while the buffer is short, and lapses once the buffer is restored.
+  LruPolicy policy;
+  ContainerPool pool(rt_, policy,
+                     ContainerPool::Config{.capacity_mb = 1000,
+                                           .free_buffer_mb = 500},
+                     nullptr);
+  pool.start();
+  ContainerHandle b =
+      pool.add_container(1, lookbusy(secs(1), 600, secs(1)), rt_.now());
+  pool.launch(b, rt_.now());
+  EXPECT_EQ(rt_.pending(), 0u) << "short, but nothing idle to evict";
+  pool.return_container(b, rt_.now());
+  EXPECT_EQ(rt_.pending(), 1u);
+  rt_.run_until(secs(10));
+  EXPECT_EQ(pool.evictions(), 1u);
+  EXPECT_EQ(rt_.pending(), 0u);
+}
+
+TEST_F(ContainerPoolTest, LateSweepLandsOnTheStartGrid) {
+  // Started at 300 ms with a 500 ms interval, the grid is 0.8 s, 1.3 s,
+  // 1.8 s, ... An idle container sits harmlessly until an add at 1.2 s
+  // makes the buffer short: it must go at 1.3 s, where a timer re-armed
+  // since start would have swept, and then the timer must lapse.
+  std::vector<TimePoint> evicted_at;
+  LruPolicy policy;
+  ContainerPool pool(rt_, policy,
+                     ContainerPool::Config{.capacity_mb = 1000,
+                                           .free_buffer_mb = 500,
+                                           .sweep_interval = msecs(500)},
+                     [&](const Container&) { evicted_at.push_back(rt_.now()); });
+  ContainerHandle idle =
+      pool.add_container(0, lookbusy(secs(1), 400, secs(1)), rt_.now());
+  pool.launch(idle, rt_.now());
+  pool.return_container(idle, msecs(100));
+  rt_.run_until(msecs(300));
+  pool.start();
+  EXPECT_EQ(rt_.pending(), 0u);
+  rt_.run_until(msecs(1200));
+  ContainerHandle busy =
+      pool.add_container(1, lookbusy(secs(1), 300, secs(1)), rt_.now());
+  pool.launch(busy, rt_.now());
+  rt_.run_until(secs(10));
+  EXPECT_EQ(evicted_at, std::vector<TimePoint>{msecs(1300)});
+  EXPECT_EQ(rt_.pending(), 0u) << "the timer did not lapse";
+}
+
+TEST_F(ContainerPoolTest, TtlExpiriesKeepTheGridAndThenLapse) {
+  // Idle containers expire 2 s after their last use, swept on a 500 ms
+  // grid from 0: each goes at the first grid point at or after its expiry,
+  // as under a timer re-armed every interval, and the timer lapses with
+  // the last one.
+  TtlPolicy ttl(secs(2));
+  std::vector<TimePoint> expired_at;
+  ContainerPool pool(rt_, ttl,
+                     ContainerPool::Config{.capacity_mb = 1000,
+                                           .free_buffer_mb = 0,
+                                           .sweep_interval = msecs(500)},
+                     [&](const Container&) { expired_at.push_back(rt_.now()); });
+  pool.start();
+  EXPECT_EQ(rt_.pending(), 0u);
+  for (auto [fn, last_use] : {std::pair{0, msecs(100)},
+                              std::pair{1, msecs(700)},
+                              std::pair{2, msecs(1900)}}) {
+    rt_.run_until(last_use);
+    ContainerHandle c = pool.add_container(
+        static_cast<FunctionId>(fn), lookbusy(secs(1), 100, secs(1)),
+        rt_.now());
+    pool.launch(c, rt_.now());
+    pool.return_container(c, rt_.now());
+  }
+  rt_.run_until(secs(10));
+  EXPECT_EQ(expired_at,
+            (std::vector<TimePoint>{msecs(2500), msecs(3000), msecs(4000)}));
+  EXPECT_EQ(pool.expirations(), 3u);
+  EXPECT_EQ(rt_.pending(), 0u) << "the timer did not lapse";
+}
+
 TEST_F(ContainerPoolTest, ShrinkCapacityEvictsIdle) {
   ContainerHandle a = make_running(0, 400);
   pool_.return_container(a, secs(1));

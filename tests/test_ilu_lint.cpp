@@ -517,30 +517,32 @@ TEST(IluLint, LockIdentityResolvesOutOfLineMethods) {
   EXPECT_NE(fs.front().message.find("Beta::mu_"), std::string::npos);
 }
 
-TEST(IluLint, LockIdentityResolvesMembersDeclaredInTheHeader) {
-  // The same inversion in the repo's usual layout: classes in a header,
-  // methods in the .cpp, and a third class with same-named methods, so
-  // `beta_->g()` resolves only through the member type the header declares.
+/// The same inversion in the repo's usual layout: classes in a header,
+/// methods in the .cpp, and a third class with same-named methods, so
+/// `beta_->g()` resolves only through the member type the header declares
+/// in `beta_decl`.
+std::vector<Finding> lint_header_layout(const std::string& beta_decl) {
   std::vector<ilu::lint::FileInput> ins = {
       {"exp/ab.hpp",
+       "#include <memory>\n"
        "#include <mutex>\n"
        "class Beta;\n"
        "class Alpha {\n"
        "  void f();\n"
        "  void k();\n"
-       "  std::mutex mu_;\n"
-       "  Beta* beta_;\n"
-       "};\n"
-       "class Beta {\n"
-       "  void g();\n"
-       "  void h();\n"
-       "  std::mutex mu_;\n"
-       "  Alpha* alpha_;\n"
-       "};\n"
-       "class Gamma {\n"
-       "  void g();\n"
-       "  void k();\n"
-       "};\n",
+       "  std::mutex mu_;\n" +
+           beta_decl +
+           "};\n"
+           "class Beta {\n"
+           "  void g();\n"
+           "  void h();\n"
+           "  std::mutex mu_;\n"
+           "  Alpha* alpha_;\n"
+           "};\n"
+           "class Gamma {\n"
+           "  void g();\n"
+           "  void k();\n"
+           "};\n",
        ""},
       {"exp/ab.cpp",
        "#include \"exp/ab.hpp\"\n"
@@ -557,10 +559,30 @@ TEST(IluLint, LockIdentityResolvesMembersDeclaredInTheHeader) {
        "void Gamma::g() {}\n"
        "void Gamma::k() {}\n",
        ""}};
-  auto fs = ilu::lint::lint_inputs(ins);
+  return ilu::lint::lint_inputs(ins);
+}
+
+TEST(IluLint, LockIdentityResolvesMembersDeclaredInTheHeader) {
+  auto fs = lint_header_layout("  Beta* beta_;\n");
   ASSERT_EQ(count_check(fs, "lock-order"), 1);
   EXPECT_NE(fs.front().message.find("Alpha::mu_"), std::string::npos);
   EXPECT_NE(fs.front().message.find("Beta::mu_"), std::string::npos);
+}
+
+TEST(IluLint, LockIdentityResolvesMembersHeldByStdSmartPointers) {
+  for (const char* decl : {"  std::unique_ptr<Beta> beta_;\n",
+                           "  std::shared_ptr<Beta> beta_;\n"}) {
+    auto fs = lint_header_layout(decl);
+    ASSERT_EQ(count_check(fs, "lock-order"), 1) << decl;
+    EXPECT_NE(fs.front().message.find("Alpha::mu_"), std::string::npos);
+    EXPECT_NE(fs.front().message.find("Beta::mu_"), std::string::npos);
+  }
+  // An array or a custom deleter is not recorded as holding a Beta.
+  for (const char* decl : {"  std::unique_ptr<Beta[]> beta_;\n",
+                           "  std::unique_ptr<Beta, Del> beta_;\n"}) {
+    EXPECT_EQ(count_check(lint_header_layout(decl), "lock-order"), 0)
+        << decl;
+  }
 }
 
 // ---- test-only-api -------------------------------------------------------

@@ -205,6 +205,27 @@ TEST(Cluster, RoutesAndCompletesInvocations) {
   EXPECT_EQ(done, 10);
 }
 
+TEST(Cluster, IdleClusterProcessesNoEvents) {
+  // No worker has anything to sweep: a started idle 16-worker cluster
+  // schedules nothing. Once invocations finish, nothing stays scheduled.
+  SimRuntime rt;
+  ClusterConfig cfg;
+  cfg.num_workers = 16;
+  Cluster cluster(rt, cfg);
+  auto fn = cluster.register_function(pyaes());
+  cluster.start();
+  rt.run_for(mins(60));
+  EXPECT_EQ(rt.events_processed(), 0u);
+  int done = 0;
+  for (int i = 0; i < 10; ++i) {
+    cluster.invoke(fn, [&](const InvokeResult&) { ++done; });
+  }
+  rt.run_for(mins(10));
+  EXPECT_EQ(done, 10);
+  EXPECT_EQ(rt.pending(), 0u);
+  cluster.shutdown();
+}
+
 TEST(Cluster, ChblKeepsFunctionLocality) {
   SimRuntime rt;
   ClusterConfig cfg;

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <memory>
+#include <tuple>
 
 #include "containers/cpu_model.hpp"
 #include "core/worker.hpp"
@@ -188,6 +190,188 @@ TEST(FuzzContainerPool, RandomOpsPreserveInvariants) {
                          0 * acquired + 0 * returned);
 }
 
+// ---------- Lazy sweep timer vs a pool swept at every grid point ----------
+
+/// A pool's evictions as (time, fn, expired), in order.
+struct EvictionLog {
+  const Runtime* rt = nullptr;
+  const ContainerPool* pool = nullptr;
+  std::uint64_t expirations = 0;
+  std::vector<std::tuple<std::int64_t, FunctionId, bool>> stream;
+
+  void record(const Container& c) {
+    const bool expired = pool->expirations() != expirations;
+    expirations = pool->expirations();
+    stream.emplace_back(rt->now().count(), c.fn, expired);
+  }
+};
+
+/// The six policies, with TTL and HIST windows short enough that
+/// containers expire within a run.
+std::unique_ptr<KeepAlivePolicy> short_window_policy(const std::string& name) {
+  if (name == "TTL") return std::make_unique<TtlPolicy>(secs(20));
+  if (name == "HIST") {
+    HistPolicy::Params p;
+    p.generic_ttl = secs(40);
+    p.linger = secs(5);
+    return std::make_unique<HistPolicy>(p);
+  }
+  return make_policy(name);
+}
+
+/// The same random add, launch, park, return, acquire, remove and capacity
+/// operations, at random instants off the sweep grid, drive two pools: one
+/// arms its own sweep timer, the other has none and is swept at every grid
+/// point, as a timer re-armed every interval would sweep it. Both must
+/// evict the same containers at the same instants. Adds the run's
+/// evictions to `evictions`.
+void expect_lazy_matches_grid_sweeps(const std::string& policy,
+                                     std::uint64_t buffer_mb,
+                                     std::uint64_t seed,
+                                     std::size_t& evictions) {
+  const std::string where = policy + " buffer " + std::to_string(buffer_mb) +
+                            " seed " + std::to_string(seed);
+  constexpr Duration kInterval = msecs(500);
+  Rng rng(seed);
+  SimRuntime rt_lazy;
+  SimRuntime rt_grid;
+  auto policy_lazy = short_window_policy(policy);
+  auto policy_grid = short_window_policy(policy);
+  EvictionLog log_lazy;
+  EvictionLog log_grid;
+  log_lazy.rt = &rt_lazy;
+  log_grid.rt = &rt_grid;
+  ContainerPool lazy(rt_lazy, *policy_lazy,
+                     ContainerPool::Config{.capacity_mb = 2000,
+                                           .free_buffer_mb = buffer_mb,
+                                           .sweep_interval = kInterval},
+                     [&](const Container& c) { log_lazy.record(c); });
+  ContainerPool grid(rt_grid, *policy_grid,
+                     ContainerPool::Config{.capacity_mb = 2000,
+                                           .free_buffer_mb = buffer_mb,
+                                           .sweep_interval = Duration::zero()},
+                     [&](const Container& c) { log_grid.record(c); });
+  log_lazy.pool = &lazy;
+  log_grid.pool = &grid;
+  using Prewarm = std::tuple<std::int64_t, FunctionId, std::int64_t>;
+  std::vector<Prewarm> prewarms_lazy;
+  std::vector<Prewarm> prewarms_grid;
+  lazy.set_prewarm_requester([&](FunctionId fn, TimePoint at) {
+    prewarms_lazy.emplace_back(rt_lazy.now().count(), fn, at.count());
+  });
+  grid.set_prewarm_requester([&](FunctionId fn, TimePoint at) {
+    prewarms_grid.emplace_back(rt_grid.now().count(), fn, at.count());
+  });
+
+  const TimePoint start = usecs(static_cast<std::int64_t>(
+      rng.uniform_index(1'000'000)));
+  const TimePoint end = start + mins(25);
+  rt_lazy.run_until(start);
+  rt_grid.run_until(start);
+  lazy.start();
+  for (TimePoint g = start + kInterval; g <= end; g += kInterval) {
+    rt_grid.schedule(g - start, [&] { grid.sweep(rt_grid.now()); });
+  }
+
+  struct Both {
+    ContainerHandle lazy;
+    ContainerHandle grid;
+    FunctionId fn;
+  };
+  std::vector<Both> provisioning;
+  std::vector<Both> running;
+  auto take = [&](std::vector<Both>& from) {
+    const auto i = static_cast<std::ptrdiff_t>(rng.uniform_index(from.size()));
+    Both b = from[static_cast<std::size_t>(i)];
+    from.erase(from.begin() + i);
+    return b;
+  };
+  TimePoint t = start;
+  for (int step = 0; step < 400; ++step) {
+    t += usecs(1 + static_cast<std::int64_t>(rng.uniform_index(3'000'000)));
+    if ((t - start) % kInterval == Duration::zero()) t += usecs(1);
+    rt_lazy.run_until(t);
+    rt_grid.run_until(t);
+    const auto fn = static_cast<FunctionId>(rng.uniform_index(8));
+    const double dice = rng.uniform();
+    if (dice < 0.25) {
+      const auto profile = lookbusy(msecs(100), 64 * (1 + fn % 6), secs(1));
+      Both b{lazy.add_container(fn, profile, t),
+             grid.add_container(fn, profile, t), fn};
+      ASSERT_EQ(b.lazy.valid(), b.grid.valid()) << where << " step " << step;
+      if (b.lazy.valid()) provisioning.push_back(b);
+    } else if (dice < 0.40 && !provisioning.empty()) {
+      Both b = take(provisioning);
+      policy_lazy->on_invocation(b.fn, t);
+      policy_grid->on_invocation(b.fn, t);
+      lazy.launch(b.lazy, t);
+      grid.launch(b.grid, t);
+      running.push_back(b);
+    } else if (dice < 0.45 && !provisioning.empty()) {
+      Both b = take(provisioning);
+      lazy.park_prewarmed(b.lazy, t);
+      grid.park_prewarmed(b.grid, t);
+    } else if (dice < 0.70 && !running.empty()) {
+      Both b = take(running);
+      lazy.return_container(b.lazy, t);
+      grid.return_container(b.grid, t);
+    } else if (dice < 0.88) {
+      policy_lazy->on_invocation(fn, t);
+      policy_grid->on_invocation(fn, t);
+      Both b{lazy.acquire(fn, t), grid.acquire(fn, t), fn};
+      ASSERT_EQ(b.lazy.valid(), b.grid.valid()) << where << " step " << step;
+      if (b.lazy.valid()) running.push_back(b);
+    } else if (dice < 0.93 && !running.empty()) {
+      Both b = take(rng.bernoulli(0.5) || provisioning.empty() ? running
+                                                               : provisioning);
+      lazy.remove(b.lazy);
+      grid.remove(b.grid);
+    } else {
+      const std::uint64_t mb = 100 * (8 + rng.uniform_index(18));
+      lazy.set_capacity_mb(mb);
+      grid.set_capacity_mb(mb);
+    }
+    ASSERT_EQ(lazy.used_mb(), grid.used_mb()) << where << " step " << step;
+    ASSERT_EQ(lazy.idle_count(), grid.idle_count()) << where << " step " << step;
+    ASSERT_LE(rt_lazy.pending(), 1u) << where << " step " << step;
+  }
+  rt_lazy.run_until(end);
+  rt_grid.run_until(end);
+
+  EXPECT_EQ(log_lazy.stream, log_grid.stream) << where;
+  EXPECT_EQ(prewarms_lazy, prewarms_grid) << where;
+  evictions += log_lazy.stream.size();
+  std::string why;
+  EXPECT_TRUE(lazy.validate(&why)) << where << ": " << why;
+  EXPECT_TRUE(grid.validate(&why)) << where << ": " << why;
+  if (lazy.idle_count() == 0) {
+    EXPECT_EQ(rt_lazy.pending(), 0u) << where;
+  }
+  if (buffer_mb == 0 && policy != "TTL" && policy != "HIST") {
+    EXPECT_EQ(rt_lazy.events_processed(), 0u) << where << ": nothing to sweep";
+  }
+}
+
+TEST(FuzzLazySweep, MatchesGridSweepsWithoutBuffer) {
+  for (const char* policy : {"TTL", "LRU", "FREQ", "GD", "LND", "HIST"}) {
+    std::size_t evictions = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      expect_lazy_matches_grid_sweeps(policy, 0, seed, evictions);
+    }
+    EXPECT_GT(evictions, 0u) << policy;
+  }
+}
+
+TEST(FuzzLazySweep, MatchesGridSweepsWithBuffer) {
+  for (const char* policy : {"TTL", "LRU", "FREQ", "GD", "LND", "HIST"}) {
+    std::size_t evictions = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      expect_lazy_matches_grid_sweeps(policy, 500, seed, evictions);
+    }
+    EXPECT_GT(evictions, 0u) << policy;
+  }
+}
+
 // ---------- Worker and Cluster quiescence under faults ----------
 
 /// A random worker set-up and workload: any keep-alive policy, a 1 or 2 GB
@@ -247,6 +431,7 @@ QuiescenceScenario random_scenario(std::uint64_t seed, bool oversize) {
 void expect_quiescent(Worker& w, const std::string& where) {
   EXPECT_EQ(w.status().running, 0u) << where;
   EXPECT_EQ(w.status().queue_len, 0u) << where;
+  EXPECT_EQ(w.status().parked, 0u) << where;
   std::string why;
   EXPECT_TRUE(w.pool().validate(&why)) << where << ": " << why;
 }

@@ -35,8 +35,7 @@ class WorkerTest : public ::testing::Test {
       out = r;
       done = true;
     });
-    // Drain events until the callback fires (pool sweeps keep the queue
-    // non-empty, so run bounded time slices).
+    // Drain events until the callback fires, in bounded time slices.
     for (int i = 0; i < 10000 && !done; ++i) rt_.run_for(msecs(100));
     EXPECT_TRUE(done);
     return out;
@@ -351,6 +350,7 @@ class PrewarmWakesParked : public ::testing::Test {
     rt_.run_for(secs(600));
     EXPECT_EQ(w_.status().running, 0u);
     EXPECT_EQ(w_.status().queue_len, 0u);
+    EXPECT_EQ(w_.status().parked, 0u);
     return out;
   }
 
@@ -367,12 +367,43 @@ TEST_F(PrewarmWakesParked, SameFunctionRunsWarm) {
   EXPECT_FALSE(r->cold);
 }
 
+TEST_F(PrewarmWakesParked, StatusCountsTheParkedInvocation) {
+  std::optional<InvokeResult> out;
+  w_.prewarm(b_);
+  rt_.schedule(msecs(1), [&] {
+    w_.invoke(a_, [&](const InvokeResult& r) { out = r; });
+  });
+  while (w_.status().parked == 0) {
+    ASSERT_FALSE(out.has_value()) << "finished without parking";
+    ASSERT_TRUE(rt_.step()) << "drained without parking";
+  }
+  EXPECT_EQ(w_.status().parked, 1u);
+  EXPECT_EQ(w_.status().running, 0u);
+  EXPECT_EQ(w_.status().queue_len, 0u);
+  rt_.run_for(secs(600));
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(w_.status().parked, 0u);
+}
+
 TEST_F(PrewarmWakesParked, OtherFunctionEvictsThePrewarm) {
   auto r = prewarm_b_then_invoke(a_);
   ASSERT_TRUE(r.has_value()) << "stranded behind an idle, evictable container";
   EXPECT_TRUE(r->success);
   EXPECT_TRUE(r->cold);
   EXPECT_EQ(w_.pool().evictions(), 1u);
+}
+
+TEST(IdleWorker, ProcessesNoEvents) {
+  // Nothing to sweep and no dynamic regulator: a started idle worker
+  // schedules nothing, so an hour of virtual time costs no events.
+  SimRuntime rt;
+  Worker w(rt, base_config());
+  w.register_function(pyaes());
+  w.start();
+  rt.run_for(mins(60));
+  EXPECT_EQ(rt.events_processed(), 0u);
+  EXPECT_EQ(rt.pending(), 0u);
+  w.shutdown();
 }
 
 TEST_F(WorkerTest, BypassShortFunctions) {

@@ -740,30 +740,47 @@ class Extractor {
     });
   }
 
-  /// Shape `T[::T2][<...>] [const&*]* name <end>` where T is a project
-  /// identifier (not std, not a keyword) — records name -> T's last
-  /// component. Deliberately loose: consumers only act when the recorded
-  /// type matches a class the repo model actually knows.
+  /// Shape `[const] T[::T2][<...>] [const&*]* name <end>` where T is a
+  /// project identifier (not std, not a keyword) — records name -> T's last
+  /// component. `std::unique_ptr<T>` and `std::shared_ptr<T>` hold a T, so
+  /// they record T too. Deliberately loose: consumers only act when the
+  /// recorded type matches a class the repo model actually knows.
   template <typename F>
   void record_typed_decl(std::size_t i, F&& record) {
     std::string_view head = ts_[i].text;
-    if (head == "std" || cpp_keywords().count(head) > 0) return;
+    if (cpp_keywords().count(head) > 0) return;
     if (i > 0) {
       const Token& p = ts_[i - 1];
-      if (p.kind == Tok::Identifier || is_punct(p, "::") ||
-          is_punct(p, ".") || is_punct(p, "->") || is_punct(p, "<")) {
+      if ((p.kind == Tok::Identifier && !is_id(p, "const")) ||
+          is_punct(p, "::") || is_punct(p, ".") || is_punct(p, "->") ||
+          is_punct(p, "<")) {
         return;  // mid-chain, member access, or template argument
       }
     }
     std::size_t j = i;
-    std::string type(head);
+    if (head == "std") {
+      if (!(i + 4 < ts_.size() && is_punct(ts_[i + 1], "::") &&
+            (is_id(ts_[i + 2], "unique_ptr") ||
+             is_id(ts_[i + 2], "shared_ptr")) &&
+            is_punct(ts_[i + 3], "<") &&
+            ts_[i + 4].kind == Tok::Identifier && !is_id(ts_[i + 4], "std"))) {
+        return;
+      }
+      j = i + 4;
+    }
+    std::string type(ts_[j].text);
     while (j + 2 < ts_.size() && is_punct(ts_[j + 1], "::") &&
            ts_[j + 2].kind == Tok::Identifier) {
       j += 2;
       type = std::string(ts_[j].text);
     }
     std::size_t k = j + 1;
-    if (k < ts_.size() && is_punct(ts_[k], "<")) {
+    if (head == "std") {
+      // The pointee must close the argument list: `unique_ptr<T[]>` or a
+      // deleter argument is not a T.
+      if (k >= ts_.size() || !is_punct(ts_[k], ">")) return;
+      ++k;
+    } else if (k < ts_.size() && is_punct(ts_[k], "<")) {
       k = skip_template_args(ts_, k);
     }
     while (k < ts_.size() &&

@@ -23,8 +23,6 @@
 //   --tmp-dir <dir>        directory for temp chunk files (default: with out)
 //   --verify               re-open and fully verify the written arena
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,10 +36,20 @@ using namespace ilu;
 
 namespace {
 
+/// This process image's peak RSS (VmHWM). Not getrusage's ru_maxrss: Linux
+/// carries the pre-exec image's high-water mark into it, so a program
+/// started by a large process (a Python script, say) reads at least that
+/// process's RSS. VmHWM restarts at exec.
 long peak_rss_kb() {
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return ru.ru_maxrss;
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  long kb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb;
 }
 
 [[noreturn]] void usage(const char* argv0) {
